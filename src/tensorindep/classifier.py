@@ -7,15 +7,16 @@ descriptor:
 1. a violating independent set forces the limit to 1;
 2. otherwise a descriptor exists, so the limit is at most 1/2, and
    a. any power whose independence measure reaches 1/2 settles it there,
-   b. a bipartition settles it there as well (bipartite powers keep half
-      the measure independent, and 1 is excluded),
+   b. a bipartition settles it there as well, but fires only when power 1
+      is over the cap: each side X has mu(X) <= mu(N(X)) <= mu(Y) and vice
+      versa, so the independent side X weighs 1/2 and rule a fires first,
    c. a vertex-transitive uniform graph has a constant sequence, so the
       limit equals the base value,
    d. failing all that, the limit is bracketed between the largest
       computed power value and 1/2.
 
-Every verdict carries a machine-checkable certificate and the certified
-upper bound 1 or 1/2.
+Every verdict carries a certified upper bound 1 or 1/2 and a checkable
+certificate; below 1 it holds the descriptor read off the rule 1 flow.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+from .descriptor import DescriptorReport, descriptor_from_flow
 from .errors import SizeCapExceeded
 from .graphs import (
+    TRANSITIVITY_CAP,
     WeightedGraph,
     bipartition,
     is_independent,
@@ -35,7 +38,12 @@ from .graphs import (
     measure_of,
     neighborhood,
 )
-from .hallflow import HALF, violating_independent_set
+from .hallflow import (
+    HALF,
+    cover_flow,
+    independent_witness_from_set,
+    violating_set_from_flow,
+)
 from .mwis import MWIS_CAP, AlphaSequence, alpha_sequence
 from .tensor import MATERIALIZATION_CAP, TensorPowerView, tensor_power
 
@@ -58,6 +66,7 @@ class Certificate:
     vertex_transitive: Optional[bool] = None
     bound_limit: Optional[Fraction] = None
     notes: tuple[str, ...] = ()
+    descriptor: Optional[DescriptorReport] = None
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ def classify(
     n_max: Optional[int] = None,
     *,
     mwis_cap: int = MWIS_CAP,
-    transitivity_cap: int = 16,
+    transitivity_cap: int = TRANSITIVITY_CAP,
 ) -> LimitVerdict:
     """Run the decision cascade and return a certified verdict.
 
@@ -102,20 +111,19 @@ def classify(
     computed stays in the certificate and the cascade falls through to
     the next applicable rule.
     """
-    witness = violating_independent_set(g)
-    if witness is not None:
+    cover, flow = cover_flow(g)
+    q = violating_set_from_flow(g, flow)
+    if q is not None:
+        witness = independent_witness_from_set(g, q)
         mu_i = measure_of(g, witness)
         mu_ni = measure_of(g, neighborhood(g, witness))
         cert = Certificate(witness=witness, bound_limit=mu_i / (mu_i + mu_ni))
         return LimitVerdict(
-            kind=VerdictKind.EXACT_ONE,
-            rule="violating-independent-set",
-            upper_bound=Fraction(1),
-            certificate=cert,
-            value=Fraction(1),
+            VerdictKind.EXACT_ONE, "violating-independent-set", Fraction(1), cert, value=Fraction(1)
         )
 
     # No violating set: a descriptor exists, so the limit is at most 1/2.
+    descriptor = descriptor_from_flow(cover, flow)
     if n_max is None:
         n_max = default_power_cap(g.n, mwis_cap)
     elif n_max < 1:
@@ -129,34 +137,25 @@ def classify(
             "independence measure above 1/2 although no violating set exists"
         )
 
-    if HALF in seq.terms:
+    def bounded_by_half(kind, rule, *, value=None, lo=None, hi=None, **evidence):
         cert = Certificate(
             alpha_terms=seq.terms,
             alpha_truncated=seq.truncated,
+            descriptor=descriptor,
             notes=tuple(notes),
+            **evidence,
         )
-        return LimitVerdict(
-            kind=VerdictKind.EXACT_HALF,
-            rule="alpha-reaches-half+descriptor",
-            upper_bound=HALF,
-            certificate=cert,
-            value=HALF,
+        return LimitVerdict(kind, rule, HALF, cert, value=value, lo=lo, hi=hi)
+
+    if HALF in seq.terms:
+        return bounded_by_half(
+            VerdictKind.EXACT_HALF, "alpha-reaches-half+descriptor", value=HALF
         )
 
     sides = bipartition(g)
     if sides is not None:
-        cert = Certificate(
-            alpha_terms=seq.terms,
-            alpha_truncated=seq.truncated,
-            bipartition=sides,
-            notes=tuple(notes),
-        )
-        return LimitVerdict(
-            kind=VerdictKind.EXACT_HALF,
-            rule="bipartite+descriptor",
-            upper_bound=HALF,
-            certificate=cert,
-            value=HALF,
+        return bounded_by_half(
+            VerdictKind.EXACT_HALF, "bipartite+descriptor", value=HALF, bipartition=sides
         )
 
     transitive: Optional[bool]
@@ -166,34 +165,19 @@ def classify(
         transitive = None
         notes.append(str(exc))
     if transitive and seq.terms:
-        cert = Certificate(
-            alpha_terms=seq.terms,
-            alpha_truncated=seq.truncated,
-            vertex_transitive=True,
-            notes=tuple(notes),
-        )
-        return LimitVerdict(
-            kind=VerdictKind.EXACT_VALUE,
-            rule="vertex-transitive-uniform",
-            upper_bound=HALF,
-            certificate=cert,
+        return bounded_by_half(
+            VerdictKind.EXACT_VALUE,
+            "vertex-transitive-uniform",
             value=seq.terms[0],
+            vertex_transitive=True,
         )
 
-    lo = max(seq.terms, default=Fraction(0))
-    cert = Certificate(
-        alpha_terms=seq.terms,
-        alpha_truncated=seq.truncated,
-        vertex_transitive=transitive,
-        notes=tuple(notes),
-    )
-    return LimitVerdict(
-        kind=VerdictKind.INTERVAL,
-        rule="alpha-bracket+descriptor",
-        upper_bound=HALF,
-        certificate=cert,
-        lo=lo,
+    return bounded_by_half(
+        VerdictKind.INTERVAL,
+        "alpha-bracket+descriptor",
+        lo=max(seq.terms, default=Fraction(0)),
         hi=HALF,
+        vertex_transitive=transitive,
     )
 
 

@@ -33,7 +33,6 @@ from .classifier import (
 from .descriptor import build_descriptor, interval_hom_to_json, verify_finite_hom
 from .errors import SaturationRequired, SizeCapExceeded
 from .graphs import WeightedGraph, iter_bits, mask_from
-from .hallflow import build_double_cover
 from .mwis import MWIS_CAP, alpha_bar, alpha_sequence
 from .tensor import tensor_power
 
@@ -138,7 +137,7 @@ def load_graph_document(path: str) -> GraphDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
@@ -189,18 +188,12 @@ def build_report(
 ) -> tuple[dict, bool]:
     """Assemble the full analysis report; returns (report, cap_was_hit)."""
     verdict = classify(g, n_max, mwis_cap=mwis_cap)
-    witness = verdict.certificate.witness
+    cert = verdict.certificate
     if verdict.kind is VerdictKind.EXACT_ONE:
         seq = alpha_sequence(g, n_max, cap=mwis_cap)
-    else:
-        seq = None  # classify already computed it; reuse via the certificate
-
-    if seq is None:
-        terms = verdict.certificate.alpha_terms
-        truncated = verdict.certificate.alpha_truncated
-    else:
-        terms = seq.terms
-        truncated = seq.truncated
+        terms, truncated = seq.terms, seq.truncated
+    else:  # classify already computed the sequence for the certificate
+        terms, truncated = cert.alpha_terms, cert.alpha_truncated
 
     verdict_json: dict = {"kind": verdict.kind.value}
     if verdict.kind is VerdictKind.INTERVAL:
@@ -213,10 +206,8 @@ def build_report(
     verdict_json["certificate"] = _certificate_json(doc, verdict)
 
     descriptor_json = None
-    if witness is None:
-        report_obj = build_descriptor(g)
-        cover = build_double_cover(g)
-        descriptor_json = interval_hom_to_json(report_obj.hom, cover)
+    if cert.descriptor is not None:
+        descriptor_json = interval_hom_to_json(cert.descriptor.hom, cert.descriptor.cover)
 
     lower_bound_json = None
     if seed_set is not None:
@@ -231,8 +222,8 @@ def build_report(
         "input": _echo_document(doc),
         "alpha_sequence": [_frac_str(t) for t in terms],
         "condition": {
-            "holds": witness is not None,
-            "witness": None if witness is None else _ids_of(doc, witness),
+            "holds": cert.witness is not None,
+            "witness": None if cert.witness is None else _ids_of(doc, cert.witness),
         },
         "verdict": verdict_json,
         "descriptor": descriptor_json,
@@ -330,11 +321,13 @@ def cmd_descriptor(args) -> int:
     doc = load_graph_document(args.path)
     g = document_to_graph(doc)
     report = build_descriptor(g)  # raises SaturationRequired when condition holds
-    cover = build_double_cover(g)
-    payload = json.dumps(interval_hom_to_json(report.hom, cover), indent=2)
+    payload = json.dumps(interval_hom_to_json(report.hom, report.cover), indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+        except OSError as exc:
+            raise DocumentError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(payload)
     return EXIT_OK
@@ -348,7 +341,7 @@ def cmd_verify_hom(args) -> int:
     try:
         with open(args.path_map, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise DocumentError(f"cannot read map file: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("map file must be a JSON object of id -> id")

@@ -23,7 +23,14 @@ from typing import Optional, Sequence
 
 from .errors import SaturationRequired
 from .graphs import WeightedGraph, iter_bits
-from .hallflow import HALF, DoubleCover, build_double_cover, condition_network, max_flow
+from .hallflow import (
+    HALF,
+    DoubleCover,
+    FlowResult,
+    build_double_cover,
+    condition_network,
+    max_flow,
+)
 
 
 @dataclass(frozen=True)
@@ -46,35 +53,39 @@ class IntervalHom:
 class DescriptorReport:
     """Descriptor map, the 1/2 bound it certifies, and piece provenance.
 
-    ``notes`` lists, aligned with the pieces, the cover edge (x, y) whose
-    flow produced each piece.
+    ``notes`` lists, aligned with the pieces, the edge (x, y) of ``cover``
+    whose flow produced each piece.
     """
 
     hom: IntervalHom
     upper_bound: Fraction
     notes: tuple[tuple[int, int], ...]
+    cover: DoubleCover
 
 
 def build_descriptor(g: WeightedGraph) -> DescriptorReport:
-    """Construct the interval map from the canonical maximum flow.
+    """The interval map read off the canonical maximum flow on the cover of ``g``."""
+    cover = build_double_cover(g)
+    return descriptor_from_flow(cover, max_flow(condition_network(cover)))
+
+
+def descriptor_from_flow(cover: DoubleCover, result: FlowResult) -> DescriptorReport:
+    """Construct the interval map from a maximum flow on the cover's network.
 
     Requires the flow to saturate at exactly 1/2 (no violating set);
     otherwise no such map exists and SaturationRequired is raised.
     Zero-flow edges contribute no piece. Pieces are listed by left
     endpoint, base tiles first, mirrors after.
     """
-    cover = build_double_cover(g)
-    result = max_flow(condition_network(cover))
     if result.value != HALF:
         raise SaturationRequired(
             f"descriptor requires saturating flow, got value {result.value}"
         )
-    n = g.n
     base_pieces = []
     mirror_pieces = []
     notes = []
     position = Fraction(0)
-    for x in range(n):
+    for x in range(cover.base.n):
         for y in iter_bits(cover.g_prime.adj[x]):
             f = result.flows[(x, y)]
             if f == 0:
@@ -86,7 +97,7 @@ def build_descriptor(g: WeightedGraph) -> DescriptorReport:
     if position != HALF:
         raise AssertionError(f"edge flows tile [0,{position}) instead of [0,1/2)")
     pieces = tuple(base_pieces + mirror_pieces)
-    return DescriptorReport(IntervalHom(pieces), HALF, tuple(notes + notes))
+    return DescriptorReport(IntervalHom(pieces), HALF, tuple(notes + notes), cover)
 
 
 def check_interval_hom(hom: IntervalHom, cover: DoubleCover) -> Optional[str]:

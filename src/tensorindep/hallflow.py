@@ -187,16 +187,20 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     return FlowResult(Fraction(total, scale), flows, cut)
 
 
-def violating_set(g: WeightedGraph) -> Optional[int]:
-    """A set Q with mu(Q) > mu(N(Q)), or None when no such set exists.
+def cover_flow(g: WeightedGraph) -> tuple[DoubleCover, FlowResult]:
+    """The double cover of ``g`` and the maximum flow on its network."""
+    cover = build_double_cover(g)
+    return cover, max_flow(condition_network(cover))
+
+
+def violating_set_from_flow(g: WeightedGraph, result: FlowResult) -> Optional[int]:
+    """A set Q with mu(Q) > mu(N(Q)) read off the cover flow, or None.
 
     None is returned exactly when the cover network's maximum flow is
     1/2. Otherwise Q is read off the minimum cut: the X-side vertices on
     the source side have all their cover neighbors inside the cut, so
     their base projection outweighs its neighborhood.
     """
-    cover = build_double_cover(g)
-    result = max_flow(condition_network(cover))
     if result.value == HALF:
         return None
     if result.value > HALF:
@@ -205,6 +209,11 @@ def violating_set(g: WeightedGraph) -> Optional[int]:
     if measure_of(g, q) <= measure_of(g, neighborhood(g, q)):
         raise AssertionError("cut projection failed to outweigh its neighborhood")
     return q
+
+
+def violating_set(g: WeightedGraph) -> Optional[int]:
+    """A set Q with mu(Q) > mu(N(Q)), or None when no such set exists."""
+    return violating_set_from_flow(g, cover_flow(g)[1])
 
 
 def independent_witness_from_set(g: WeightedGraph, q: int) -> int:

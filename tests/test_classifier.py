@@ -10,6 +10,8 @@ from tensorindep import (
     VerdictKind,
     WeightedGraph,
     alpha_bar,
+    bipartition,
+    build_descriptor,
     classify,
     default_power_cap,
     is_independent,
@@ -19,11 +21,12 @@ from tensorindep import (
     mask_from,
     measure_of,
     tensor_power,
+    verify_interval_hom,
     violating_independent_set,
 )
 
 from conftest import measured_graphs
-from oracles import all_uniform_graphs, brute_alpha
+from oracles import all_uniform_graphs, brute_alpha, brute_violating_any
 
 HALF = Fraction(1, 2)
 
@@ -73,6 +76,25 @@ class TestClassify:
         assert verdict.rule == "bipartite+descriptor"
         assert verdict.certificate.alpha_truncated
         assert verdict.certificate.alpha_terms == ()
+
+    def test_bipartite_without_violating_set_reaches_half_at_power_one(self):
+        # Each side X has mu(X) <= mu(N(X)) <= mu(Y) and vice versa, so both
+        # sides weigh 1/2 and alpha(G) = 1/2: the bipartite rule can only
+        # fire when power 1 is over the search cap.
+        checked = 0
+        for g in all_uniform_graphs(5):
+            if bipartition(g) is None or brute_violating_any(g) is not None:
+                continue
+            assert classify(g, 1).rule == "alpha-reaches-half+descriptor"
+            checked += 1
+        assert checked > 0
+
+    def test_certificate_carries_the_descriptor(self, k2, k3, c7_chord, p3):
+        for g in (k2, k3, c7_chord):
+            descriptor = classify(g, 1).certificate.descriptor
+            assert descriptor == build_descriptor(g)
+            assert verify_interval_hom(descriptor.hom, descriptor.cover)
+        assert classify(p3, 1).certificate.descriptor is None
 
     def test_interval_when_transitivity_capped(self, c7_chord):
         verdict = classify(c7_chord, 1, transitivity_cap=3)

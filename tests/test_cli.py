@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from tensorindep import build_double_cover, interval_hom_from_json, verify_interval_hom
+from tensorindep import build_double_cover, hallflow, interval_hom_from_json, verify_interval_hom
 from tensorindep.cli import main
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 P3_JSON = {
     "vertices": [
@@ -126,6 +128,12 @@ class TestAnalyze:
         doc = {"vertices": [{"id": "u", "measure": "1/1"}], "edges": [["u", "x"]]}
         assert main(["analyze", fixture_file("edge.json", doc)]) == 2
 
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"vertices": \xff}')
+        assert main(["analyze", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
 
 class TestAlphaCommand:
     def test_c5_square(self, fixture_file, capsys):
@@ -182,6 +190,12 @@ class TestDescriptorCommand:
         hom = interval_hom_from_json(data, cover)
         assert verify_interval_hom(hom, cover)
 
+    def test_out_in_missing_directory_exits_2(self, fixture_file, tmp_path, capsys):
+        path = fixture_file("k2.json", K2_JSON)
+        out = tmp_path / "missing" / "hom.json"
+        assert main(["descriptor", path, "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestVerifyHomCommand:
     def _cover_files(self, fixture_file):
@@ -215,6 +229,47 @@ class TestVerifyHomCommand:
         k2 = fixture_file("k2.json", K2_JSON)
         partial = fixture_file("partial.json", {"u": "u"})
         assert main(["verify-hom", k2, k2, partial]) == 2
+
+    def test_non_utf8_map_exits_2(self, fixture_file, tmp_path, capsys):
+        k2 = fixture_file("k2.json", K2_JSON)
+        bad = tmp_path / "map.json"
+        bad.write_bytes(b'{"u": "\xff"}')
+        assert main(["verify-hom", k2, k2, str(bad)]) == 2
+        assert "cannot read map file" in capsys.readouterr().err
+
+
+class TestOneCoverOneFlow:
+    """Each command builds one double cover and runs one maximum flow."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"build_double_cover": 0, "max_flow": 0}
+        for name in counts:
+            original = getattr(hallflow, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                in_package = module_name.split(".")[0] == "tensorindep"
+                if in_package and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "k2_uniform.json", "--max-power", "2"],
+            ["analyze", "c7_chord.json", "--max-power", "1"],
+            ["analyze", "p3_path.json", "--max-power", "2"],
+            ["descriptor", "k2_uniform.json"],
+        ],
+    )
+    def test_one_cover_and_one_flow(self, counts, argv, capsys):
+        command, name, *flags = argv
+        assert main([command, str(DEMO_DATA / name), *flags]) == 0
+        assert counts == {"build_double_cover": 1, "max_flow": 1}
 
 
 def test_module_entrypoint_runs_in_subprocess(tmp_path):
