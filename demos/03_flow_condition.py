@@ -15,19 +15,17 @@ from fractions import Fraction
 
 from tensorindep import (
     WeightedGraph,
-    build_double_cover,
-    condition_network,
+    cover_flow,
     cycle_graph,
     independent_witness_from_set,
     iter_bits,
-    max_flow,
     measure_of,
     neighborhood,
     path_graph,
     star_graph,
     violating_independent_set,
-    violating_set,
 )
+from tensorindep.hallflow import violating_set_from_flow
 
 
 def names(g, mask):
@@ -35,11 +33,10 @@ def names(g, mask):
 
 
 def run(name, g):
-    cover = build_double_cover(g)
-    result = max_flow(condition_network(cover))
+    result = cover_flow(g)[1]
     print(f"\n{name}")
     print(f"  max flow on the cover network: {result.value} (ceiling is 1/2)")
-    q = violating_set(g)
+    q = violating_set_from_flow(g, result)
     if q is None:
         print("  saturating: every set satisfies mu(Q) <= mu(N(Q))")
         return

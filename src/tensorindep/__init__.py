@@ -14,7 +14,6 @@ from .classifier import (
     LimitVerdict,
     VerdictKind,
     classify,
-    default_power_cap,
     lower_bound_sequence,
     majority_set_measure,
     majority_witness,
@@ -28,11 +27,9 @@ from .descriptor import (
     interval_hom_from_json,
     interval_hom_to_json,
     verify_finite_hom,
-    verify_interval_hom,
 )
 from .errors import SaturationRequired, SizeCapExceeded
 from .graphs import (
-    Rational,
     WeightedGraph,
     bipartition,
     complete_graph,
@@ -45,29 +42,23 @@ from .graphs import (
     neighborhood,
     path_graph,
     star_graph,
-    uniform_measures,
 )
 from .hallflow import (
-    BIG,
     DoubleCover,
-    FlowNetwork,
     FlowResult,
     build_double_cover,
-    condition_network,
+    cover_flow,
     independent_witness_from_set,
-    max_flow,
     violating_independent_set,
     violating_set,
 )
 from .mwis import (
-    MWIS_CAP,
     AlphaResult,
     AlphaSequence,
     alpha_bar,
     alpha_sequence,
 )
 from .tensor import (
-    MATERIALIZATION_CAP,
     TensorPowerView,
     power_adjacent,
     projection_hom,
@@ -80,19 +71,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaResult",
     "AlphaSequence",
-    "BIG",
     "BoundSequence",
     "Certificate",
     "DescriptorReport",
     "DoubleCover",
-    "FlowNetwork",
     "FlowResult",
     "IntervalHom",
     "IntervalPiece",
     "LimitVerdict",
-    "MATERIALIZATION_CAP",
-    "MWIS_CAP",
-    "Rational",
     "SaturationRequired",
     "SizeCapExceeded",
     "TensorPowerView",
@@ -106,9 +92,8 @@ __all__ = [
     "check_interval_hom",
     "classify",
     "complete_graph",
-    "condition_network",
+    "cover_flow",
     "cycle_graph",
-    "default_power_cap",
     "independent_witness_from_set",
     "interval_hom_from_json",
     "interval_hom_to_json",
@@ -119,7 +104,6 @@ __all__ = [
     "majority_set_measure",
     "majority_witness",
     "mask_from",
-    "max_flow",
     "measure_of",
     "neighborhood",
     "path_graph",
@@ -128,9 +112,7 @@ __all__ = [
     "star_graph",
     "tensor_power",
     "tensor_product",
-    "uniform_measures",
     "verify_finite_hom",
-    "verify_interval_hom",
     "violating_independent_set",
     "violating_set",
 ]

@@ -25,12 +25,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .descriptor import DescriptorReport, descriptor_from_flow
 from .errors import SizeCapExceeded
 from .graphs import (
-    TRANSITIVITY_CAP,
     WeightedGraph,
     bipartition,
     is_independent,
@@ -45,7 +45,7 @@ from .hallflow import (
     violating_set_from_flow,
 )
 from .mwis import MWIS_CAP, AlphaSequence, alpha_sequence
-from .tensor import MATERIALIZATION_CAP, TensorPowerView, tensor_power
+from .tensor import tensor_power
 
 
 class VerdictKind(Enum):
@@ -103,7 +103,6 @@ def classify(
     n_max: Optional[int] = None,
     *,
     mwis_cap: int = MWIS_CAP,
-    transitivity_cap: int = TRANSITIVITY_CAP,
 ) -> LimitVerdict:
     """Run the decision cascade and return a certified verdict.
 
@@ -160,7 +159,7 @@ def classify(
 
     transitive: Optional[bool]
     try:
-        transitive = is_vertex_transitive_uniform(g, cap=transitivity_cap)
+        transitive = is_vertex_transitive_uniform(g)
     except SizeCapExceeded as exc:
         transitive = None
         notes.append(str(exc))
@@ -230,9 +229,7 @@ def majority_set_measure(p: Fraction, n: int) -> Fraction:
     )
 
 
-def majority_witness(
-    g: WeightedGraph, independent: int, n: int, *, cap: int = MATERIALIZATION_CAP
-) -> int:
+def majority_witness(g: WeightedGraph, independent: int, n: int) -> int:
     """Vertices of the n-th power with more than half their coordinates inside.
 
     The result is checked to be independent and to have measure exactly
@@ -242,12 +239,12 @@ def majority_witness(
     """
     if not is_independent(g, independent):
         raise ValueError("set is not independent")
-    power = tensor_power(g, n, cap=cap)
-    view = TensorPowerView(g, n)
+    power = tensor_power(g, n)
+    member = [independent >> c & 1 for c in range(g.n)]
     witness = 0
-    for index in range(power.n):
-        inside = sum(1 for c in view.decode(index) if independent >> c & 1)
-        if 2 * inside > n:
+    # product() enumerates coordinate tuples in power index order.
+    for index, hits in enumerate(product(member, repeat=n)):
+        if 2 * sum(hits) > n:
             witness |= 1 << index
     if not is_independent(power, witness):
         raise AssertionError("majority set is not independent")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -47,13 +46,6 @@ class DocumentError(ValueError):
     """The input file failed to parse or validate."""
 
 
-@dataclass
-class GraphDocument:
-    ids: list[str]
-    measures: list[Fraction]
-    edges: list[tuple[int, int]]
-
-
 def _parse_rational(text) -> Fraction:
     try:
         return Fraction(str(text))
@@ -65,7 +57,7 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_graph_json(text: str) -> GraphDocument:
+def parse_graph_json(text: str) -> WeightedGraph:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -93,7 +85,7 @@ def parse_graph_json(text: str) -> GraphDocument:
     return _assemble(ids, measures, raw_edges)
 
 
-def parse_graph_edgelist(text: str) -> GraphDocument:
+def parse_graph_edgelist(text: str) -> WeightedGraph:
     ids: list[str] = []
     measures: list[Fraction] = []
     raw_edges: list[tuple[str, str]] = []
@@ -116,7 +108,7 @@ def parse_graph_edgelist(text: str) -> GraphDocument:
 
 def _assemble(
     ids: list[str], measures: list[Fraction], raw_edges: list[tuple[str, str]]
-) -> GraphDocument:
+) -> WeightedGraph:
     index: dict[str, int] = {}
     for vid in ids:
         if vid in index:
@@ -126,14 +118,16 @@ def _assemble(
     for a, b in raw_edges:
         if a not in index or b not in index:
             raise DocumentError(f"edge [{a},{b}] references an undeclared vertex")
-        u, v = index[a], index[b]
-        if u == v:
+        if a == b:
             raise DocumentError(f"self-loop at {a!r} rejected")
-        edges.append((min(u, v), max(u, v)))
-    return GraphDocument(ids, measures, sorted(set(edges)))
+        edges.append((index[a], index[b]))
+    try:
+        return WeightedGraph(measures, edges, ids)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
-def load_graph_document(path: str) -> GraphDocument:
+def load_graph(path: str) -> WeightedGraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -144,35 +138,28 @@ def load_graph_document(path: str) -> GraphDocument:
     return parse_graph_edgelist(text)
 
 
-def document_to_graph(doc: GraphDocument) -> WeightedGraph:
-    try:
-        return WeightedGraph(doc.measures, doc.edges, doc.ids)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+def _ids_of(g: WeightedGraph, mask: int) -> list[str]:
+    return [g.labels[v] for v in iter_bits(mask)]
 
 
-def _ids_of(doc: GraphDocument, mask: int) -> list[str]:
-    return [doc.ids[v] for v in iter_bits(mask)]
-
-
-def _echo_document(doc: GraphDocument) -> dict:
+def _echo_graph(g: WeightedGraph) -> dict:
     return {
         "vertices": [
-            {"id": vid, "measure": _frac_str(m)} for vid, m in zip(doc.ids, doc.measures)
+            {"id": vid, "measure": _frac_str(m)} for vid, m in zip(g.labels, g.measures)
         ],
-        "edges": [[doc.ids[u], doc.ids[v]] for u, v in doc.edges],
+        "edges": [[g.labels[u], g.labels[v]] for u, v in g.edges()],
     }
 
 
-def _certificate_json(doc: GraphDocument, verdict) -> dict:
+def _certificate_json(g: WeightedGraph, verdict) -> dict:
     cert = verdict.certificate
     return {
-        "witness": None if cert.witness is None else _ids_of(doc, cert.witness),
+        "witness": None if cert.witness is None else _ids_of(g, cert.witness),
         "alpha_terms": [_frac_str(t) for t in cert.alpha_terms],
         "alpha_truncated": cert.alpha_truncated,
         "bipartition": None
         if cert.bipartition is None
-        else [_ids_of(doc, side) for side in cert.bipartition],
+        else [_ids_of(g, side) for side in cert.bipartition],
         "vertex_transitive": cert.vertex_transitive,
         "bound_limit": None if cert.bound_limit is None else _frac_str(cert.bound_limit),
         "notes": list(cert.notes),
@@ -180,7 +167,6 @@ def _certificate_json(doc: GraphDocument, verdict) -> dict:
 
 
 def build_report(
-    doc: GraphDocument,
     g: WeightedGraph,
     n_max: int,
     mwis_cap: int,
@@ -203,7 +189,7 @@ def build_report(
         verdict_json["value"] = _frac_str(verdict.value)
     verdict_json["rule"] = verdict.rule
     verdict_json["upper_bound"] = _frac_str(verdict.upper_bound)
-    verdict_json["certificate"] = _certificate_json(doc, verdict)
+    verdict_json["certificate"] = _certificate_json(g, verdict)
 
     descriptor_json = None
     if cert.descriptor is not None:
@@ -213,17 +199,17 @@ def build_report(
     if seed_set is not None:
         bounds = lower_bound_sequence(g, seed_set, n_max)
         lower_bound_json = {
-            "set": _ids_of(doc, seed_set),
+            "set": _ids_of(g, seed_set),
             "terms": [_frac_str(t) for t in bounds.terms],
             "closed_form_limit": _frac_str(bounds.closed_form_limit),
         }
 
     report = {
-        "input": _echo_document(doc),
+        "input": _echo_graph(g),
         "alpha_sequence": [_frac_str(t) for t in terms],
         "condition": {
             "holds": cert.witness is not None,
-            "witness": None if cert.witness is None else _ids_of(doc, cert.witness),
+            "witness": None if cert.witness is None else _ids_of(g, cert.witness),
         },
         "verdict": verdict_json,
         "descriptor": descriptor_json,
@@ -268,8 +254,8 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _parse_seed_set(doc: GraphDocument, g: WeightedGraph, ids: str) -> int:
-    index = {vid: v for v, vid in enumerate(doc.ids)}
+def _parse_seed_set(g: WeightedGraph, ids: str) -> int:
+    index = {vid: v for v, vid in enumerate(g.labels)}
     chosen = []
     for token in ids.split(","):
         token = token.strip()
@@ -280,16 +266,15 @@ def _parse_seed_set(doc: GraphDocument, g: WeightedGraph, ids: str) -> int:
 
 
 def cmd_analyze(args) -> int:
-    doc = load_graph_document(args.path)
-    g = document_to_graph(doc)
+    g = load_graph(args.path)
     n_max = args.max_power if args.max_power else default_power_cap(g.n, args.mwis_cap)
     if n_max < 1:
         raise DocumentError("--max-power must be positive")
     seed_set = None
     if args.seed_independent_set:
-        seed_set = _parse_seed_set(doc, g, args.seed_independent_set)
+        seed_set = _parse_seed_set(g, args.seed_independent_set)
     try:
-        report, truncated = build_report(doc, g, n_max, args.mwis_cap, seed_set)
+        report, truncated = build_report(g, n_max, args.mwis_cap, seed_set)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     if args.format == "json":
@@ -302,8 +287,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_alpha(args) -> int:
-    doc = load_graph_document(args.path)
-    g = document_to_graph(doc)
+    g = load_graph(args.path)
     if args.power < 1:
         raise DocumentError("--power must be positive")
     if g.n**args.power > args.mwis_cap:
@@ -318,8 +302,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_descriptor(args) -> int:
-    doc = load_graph_document(args.path)
-    g = document_to_graph(doc)
+    g = load_graph(args.path)
     report = build_descriptor(g)  # raises SaturationRequired when condition holds
     payload = json.dumps(interval_hom_to_json(report.hom, report.cover), indent=2)
     if args.out:
@@ -334,10 +317,8 @@ def cmd_descriptor(args) -> int:
 
 
 def cmd_verify_hom(args) -> int:
-    doc_h = load_graph_document(args.path_h)
-    doc_g = load_graph_document(args.path_g)
-    h = document_to_graph(doc_h)
-    g = document_to_graph(doc_g)
+    h = load_graph(args.path_h)
+    g = load_graph(args.path_g)
     try:
         with open(args.path_map, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -345,16 +326,16 @@ def cmd_verify_hom(args) -> int:
         raise DocumentError(f"cannot read map file: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("map file must be a JSON object of id -> id")
-    g_index = {vid: v for v, vid in enumerate(doc_g.ids)}
+    g_index = {vid: v for v, vid in enumerate(g.labels)}
     mapping = []
-    for vid in doc_h.ids:
+    for vid in h.labels:
         if vid not in raw:
             raise DocumentError(f"map is missing vertex {vid!r}")
         target = str(raw[vid])
         if target not in g_index:
             raise DocumentError(f"map sends {vid!r} to unknown vertex {target!r}")
         mapping.append(g_index[target])
-    extra = set(raw) - set(doc_h.ids)
+    extra = set(raw) - set(h.labels)
     if extra:
         raise DocumentError(f"map mentions unknown vertices {sorted(extra)}")
     if verify_finite_hom(mapping, h, g):

@@ -158,11 +158,6 @@ def check_interval_hom(hom: IntervalHom, cover: DoubleCover) -> Optional[str]:
     return None
 
 
-def verify_interval_hom(hom: IntervalHom, cover: DoubleCover) -> bool:
-    """True iff the interval map is a measure-preserving homomorphism."""
-    return check_interval_hom(hom, cover) is None
-
-
 def verify_finite_hom(
     mapping: Sequence[int], h: WeightedGraph, g: WeightedGraph
 ) -> bool:

@@ -16,9 +16,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import SizeCapExceeded
 
-# Exact rational scalar used for every measure, flow value and bound.
-Rational = Fraction
-
 #: Largest vertex count for which the automorphism-transitivity check runs.
 TRANSITIVITY_CAP = 16
 
@@ -259,9 +256,7 @@ def _automorphism_onto(g: WeightedGraph, order: list[int], target: int) -> bool:
     return extend(1, 1 << target)
 
 
-def is_vertex_transitive_uniform(
-    g: WeightedGraph, cap: int = TRANSITIVITY_CAP
-) -> Optional[bool]:
+def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:
     """Decide vertex transitivity for a uniform-measure graph.
 
     For a finite graph under the uniform measure, the measured notion of
@@ -272,9 +267,9 @@ def is_vertex_transitive_uniform(
     """
     if not _uniform(g):
         return None
-    if g.n > cap:
+    if g.n > TRANSITIVITY_CAP:
         raise SizeCapExceeded(
-            f"transitivity check too large: {g.n} vertices exceeds cap {cap}"
+            f"transitivity check too large: {g.n} vertices exceeds cap {TRANSITIVITY_CAP}"
         )
     if g.n == 1:
         return True

@@ -118,14 +118,16 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     reachability cut deterministic.
     """
     scale = math.lcm(*(c.denominator for _, _, c in net.arcs)) if net.arcs else 1
-    unbounded = max((int(c * scale) for _, _, c in net.arcs), default=0) + 1
+    caps = [c.numerator * (scale // c.denominator) for _, _, c in net.arcs]
+    unbounded = max(caps, default=0) + 1
     node_count = net.graph_nodes + 2
     # Forward arc i and its reverse live at graph[u][..] entries [v, cap, rev].
     graph: list[list[list[int]]] = [[] for _ in range(node_count)]
-    positions = []
-    for u, v, cap in net.arcs:
-        positions.append((u, len(graph[u])))
-        graph[u].append([v, int(cap * scale), len(graph[v])])
+    forward = []
+    for (u, v, _), cap in zip(net.arcs, caps):
+        edge = [v, cap, len(graph[v])]
+        forward.append(edge)
+        graph[u].append(edge)
         graph[v].append([u, 0, len(graph[u]) - 1])
 
     source, sink = net.source, net.sink
@@ -170,20 +172,13 @@ def max_flow(net: FlowNetwork) -> FlowResult:
                 break
             total += pushed
 
-    flows: dict[tuple[int, int], Fraction] = {}
-    for (u, v, cap), (node, slot) in zip(net.arcs, positions):
-        residual = graph[node][slot][1]
-        flows[(u, v)] = Fraction(int(cap * scale) - residual, scale)
-
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, cap, _ in graph[u]:
-            if cap > 0 and v not in reachable:
-                reachable.add(v)
-                queue.append(v)
-    cut = frozenset(v for v in reachable if v < net.graph_nodes)
+    flows = {
+        (u, v): Fraction(cap - edge[1], scale)
+        for (u, v, _), cap, edge in zip(net.arcs, caps, forward)
+    }
+    # The last bfs() failed to reach the sink, so it leveled exactly the
+    # vertices reachable from the source in the final residual network.
+    cut = frozenset(v for v in range(net.graph_nodes) if level[v] >= 0)
     return FlowResult(Fraction(total, scale), flows, cut)
 
 

@@ -12,6 +12,7 @@ index arithmetic and keeps every construction deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import SizeCapExceeded
@@ -21,13 +22,13 @@ from .graphs import WeightedGraph, iter_bits
 MATERIALIZATION_CAP = 10**6
 
 
-def tensor_product(
-    g: WeightedGraph, h: WeightedGraph, *, cap: int = MATERIALIZATION_CAP
-) -> WeightedGraph:
+def tensor_product(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
     """Tensor product with vertices ordered lexicographically by (g, h) index."""
     n = g.n * h.n
-    if n > cap:
-        raise SizeCapExceeded(f"power too large: {n} vertices exceeds cap {cap}")
+    if n > MATERIALIZATION_CAP:
+        raise SizeCapExceeded(
+            f"power too large: {n} vertices exceeds cap {MATERIALIZATION_CAP}"
+        )
     labels = []
     measures = []
     adj = []
@@ -93,25 +94,22 @@ def power_adjacent(view: TensorPowerView, a: Sequence[int], b: Sequence[int]) ->
     return all(adj[x] >> y & 1 for x, y in zip(a, b))
 
 
-def tensor_power(
-    g: WeightedGraph, n: int, *, cap: int = MATERIALIZATION_CAP
-) -> WeightedGraph:
+def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
     """Iterated tensor product of ``n`` copies of ``g``; identity at n=1."""
     if n < 1:
         raise ValueError("power must be positive")
-    if g.n**n > cap:
-        raise SizeCapExceeded(f"power too large: {g.n}**{n} vertices exceeds cap {cap}")
+    if g.n**n > MATERIALIZATION_CAP:
+        raise SizeCapExceeded(
+            f"power too large: {g.n}**{n} vertices exceeds cap {MATERIALIZATION_CAP}"
+        )
     if n == 1:
         return g
     power = g
     for _ in range(n - 1):
-        power = tensor_product(power, g, cap=cap)
-    # Flatten the nested product labels into one coordinate tuple.
-    view = TensorPowerView(g, n)
-    labels = tuple(
-        "(" + ",".join(g.labels[c] for c in view.decode(i)) + ")"
-        for i in range(power.n)
-    )
+        power = tensor_product(power, g)
+    # Flatten the nested product labels into one coordinate tuple; product()
+    # enumerates the tuples in the same mixed-radix order as the indices.
+    labels = tuple("(" + ",".join(t) + ")" for t in product(g.labels, repeat=n))
     return power.relabeled(labels)
 
 
@@ -132,8 +130,7 @@ def projection_hom(view: TensorPowerView, keep: Iterable[int]) -> list[int]:
         raise ValueError("keep must be a proper subset of the coordinates")
     m = view.base.n
     mapping = []
-    for index in range(view.size):
-        coords = view.decode(index)
+    for coords in product(range(m), repeat=view.exponent):
         image = 0
         for k in kept:
             image = image * m + coords[k]

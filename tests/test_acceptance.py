@@ -22,21 +22,20 @@ from tensorindep import (
     alpha_sequence,
     build_descriptor,
     build_double_cover,
+    check_interval_hom,
     classify,
     complete_graph,
-    condition_network,
+    cover_flow,
     cycle_graph,
     is_independent,
     lower_bound_sequence,
     majority_set_measure,
     majority_witness,
     mask_from,
-    max_flow,
     measure_of,
     neighborhood,
     tensor_power,
     tensor_product,
-    verify_interval_hom,
     violating_independent_set,
 )
 from tensorindep.cli import main
@@ -92,7 +91,7 @@ def test_criterion_02_witness_soundness(corpus, condition_witnesses):
 
 def test_criterion_03_flow_ceiling(corpus, condition_witnesses):
     for g, witness in zip(corpus, condition_witnesses):
-        value = max_flow(condition_network(build_double_cover(g))).value
+        value = cover_flow(g)[1].value
         assert value <= HALF
         assert (value == HALF) == (witness is None)
     print(f"ACCEPTANCE 3 flow-ceiling: PASS ({len(corpus)} flows at or below 1/2)")
@@ -105,7 +104,7 @@ def test_criterion_04_descriptor_verification(corpus, condition_witnesses):
             continue
         cover = build_double_cover(g)
         report = build_descriptor(g)
-        assert verify_interval_hom(report.hom, cover)
+        assert check_interval_hom(report.hom, cover) is None
         assert report.upper_bound == HALF
         built += 1
     print(f"ACCEPTANCE 4 descriptor-verification: PASS ({built} descriptors verified)")

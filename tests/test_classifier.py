@@ -12,8 +12,9 @@ from tensorindep import (
     alpha_bar,
     bipartition,
     build_descriptor,
+    check_interval_hom,
     classify,
-    default_power_cap,
+    cycle_graph,
     is_independent,
     lower_bound_sequence,
     majority_set_measure,
@@ -21,9 +22,9 @@ from tensorindep import (
     mask_from,
     measure_of,
     tensor_power,
-    verify_interval_hom,
     violating_independent_set,
 )
+from tensorindep.classifier import default_power_cap
 
 from conftest import measured_graphs
 from oracles import all_uniform_graphs, brute_alpha, brute_violating_any
@@ -93,11 +94,11 @@ class TestClassify:
         for g in (k2, k3, c7_chord):
             descriptor = classify(g, 1).certificate.descriptor
             assert descriptor == build_descriptor(g)
-            assert verify_interval_hom(descriptor.hom, descriptor.cover)
+            assert check_interval_hom(descriptor.hom, descriptor.cover) is None
         assert classify(p3, 1).certificate.descriptor is None
 
-    def test_interval_when_transitivity_capped(self, c7_chord):
-        verdict = classify(c7_chord, 1, transitivity_cap=3)
+    def test_interval_when_transitivity_capped(self):
+        verdict = classify(cycle_graph(17), 1)
         assert verdict.kind is VerdictKind.INTERVAL
         assert any("transitivity" in note for note in verdict.certificate.notes)
 

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from tensorindep import (
-    BIG,
     WeightedGraph,
     build_double_cover,
-    condition_network,
+    cover_flow,
     independent_witness_from_set,
     is_independent,
     mask_from,
-    max_flow,
     measure_of,
     neighborhood,
     star_graph,
@@ -21,6 +19,7 @@ from tensorindep import (
     violating_independent_set,
     violating_set,
 )
+from tensorindep.hallflow import BIG, condition_network, max_flow
 
 from conftest import measured_graphs
 from oracles import brute_violating_any, brute_violating_independent
@@ -47,6 +46,21 @@ def flow_is_internally_consistent(net, result):
         c for (u, v, c) in net.arcs if u in cut and v not in cut
     )
     assert capacity == result.value
+    # The cut is the inclusion-minimal one: exactly the nodes the source
+    # reaches through arcs with residual capacity, forward (cap - flow > 0)
+    # or backward (flow > 0).
+    reached = {net.source}
+    frontier = [net.source]
+    while frontier:
+        node = frontier.pop()
+        for u, v, c in net.arcs:
+            f = result.flows[(u, v)]
+            for a, b, residual in ((u, v, c - f), (v, u, f)):
+                if a == node and residual > 0 and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    assert net.sink not in reached
+    assert result.cut_source_side == reached - {net.source}
     return True
 
 
@@ -118,8 +132,7 @@ class TestMaxFlow:
 
     def test_edgeless_zero(self):
         g = WeightedGraph([Fraction(1, 2), Fraction(1, 2)], [])
-        result = max_flow(condition_network(build_double_cover(g)))
-        assert result.value == 0
+        assert cover_flow(g)[1].value == 0
 
     def test_big_capacity_is_two(self):
         assert BIG == 2
@@ -202,7 +215,7 @@ class TestViolatingIndependentSet:
         # Flow test, arbitrary-set existence, independent-set existence:
         # all three decide the same condition.
         witness = violating_independent_set(g)
-        value = max_flow(condition_network(build_double_cover(g))).value
+        value = cover_flow(g)[1].value
         brute_any = brute_violating_any(g)
         brute_ind = brute_violating_independent(g)
         assert (witness is None) == (value == HALF)
