@@ -23,14 +23,8 @@ from typing import Optional, Sequence
 
 from .errors import SaturationRequired
 from .graphs import WeightedGraph, iter_bits
-from .hallflow import (
-    HALF,
-    DoubleCover,
-    FlowResult,
-    build_double_cover,
-    condition_network,
-    max_flow,
-)
+from .hallflow import HALF, DoubleCover, FlowResult, cover_flow
+from .hallflow import max_flow  # noqa: F401  still bound here for bench/tests/test_bench.py
 
 
 @dataclass(frozen=True)
@@ -65,8 +59,7 @@ class DescriptorReport:
 
 def build_descriptor(g: WeightedGraph) -> DescriptorReport:
     """The interval map read off the canonical maximum flow on the cover of ``g``."""
-    cover = build_double_cover(g)
-    return descriptor_from_flow(cover, max_flow(condition_network(cover)))
+    return descriptor_from_flow(*cover_flow(g))
 
 
 def descriptor_from_flow(cover: DoubleCover, result: FlowResult) -> DescriptorReport:

@@ -8,10 +8,13 @@ common denominator, so the whole search runs on arbitrary-precision
 integers and the optimum is exact.
 
 The optimum value is independent of search order. The reported witness
-is canonical as well: a final pass re-derives it greedily, keeping a
-vertex exactly when the optimum is still attainable with every earlier
-decision fixed, which yields the same set as preferring inclusion of
-lower-indexed vertices.
+is canonical as well, and comes from the same single search: vertex v's
+integer weight w becomes ``w << n | 1 << (n - 1 - v)``. The tie bits of
+all n vertices sum to at most 2^n - 1, less than one unit of integer
+measure after the shift by n, so they can never outweigh a measure
+difference; among the sets of maximum measure they rank the one that
+prefers inclusion of lower-indexed vertices, vertex 0 first. The optimum then encodes both results: its
+high part is the value and its low n bits spell out the witness.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, iter_bits
+from .graphs import WeightedGraph, is_independent, iter_bits
 from .tensor import tensor_product
 
 #: Largest vertex count the independent-set search accepts by default.
@@ -171,31 +174,26 @@ def _branch_and_bound(adj: tuple[int, ...], weights: list[int], comp: int) -> in
 def alpha_bar(g: WeightedGraph, *, cap: int = MWIS_CAP) -> AlphaResult:
     """Maximum measure of an independent set, with a canonical witness.
 
-    Among all optimal sets the witness is the one found by greedy
-    inclusion from vertex 0 upward, so identical inputs always produce
-    identical output.
+    Among all optimal sets the witness is the one that prefers inclusion
+    of lower-indexed vertices, so identical inputs always produce
+    identical output. One search finds both: vertex v's weight carries
+    the tie bit 2^(n-1-v) below its measure, and since all tie bits
+    together stay under 2^n they never outweigh one unit of measure.
     """
     if g.n > cap:
         raise SizeCapExceeded(f"search too large: {g.n} vertices exceeds cap {cap}")
+    n = g.n
     weights, scale = _int_weights(g)
-    best = _max_weight(g.adj, weights, g.full_mask)
-
+    ranked = [w << n | 1 << (n - 1 - v) for v, w in enumerate(weights)]
+    best = _max_weight(g.adj, ranked, g.full_mask)
+    value = best >> n
     witness = 0
-    blocked = 0
-    taken_weight = 0
-    rest = g.full_mask
-    for v in range(g.n):
-        rest &= ~(1 << v)
-        if blocked >> v & 1:
-            continue
-        future = rest & ~(blocked | g.adj[v])
-        if taken_weight + weights[v] + _max_weight(g.adj, weights, future) == best:
-            witness |= 1 << v
-            taken_weight += weights[v]
-            blocked |= g.adj[v]
-    if taken_weight != best:
+    for bit in iter_bits(best & g.full_mask):
+        witness |= 1 << (n - 1 - bit)
+    taken = sum(weights[v] for v in iter_bits(witness))
+    if taken != value or not is_independent(g, witness):
         raise AssertionError("canonical witness failed to attain the optimum")
-    return AlphaResult(Fraction(best, scale), witness)
+    return AlphaResult(Fraction(value, scale), witness)
 
 
 def _alpha_value(g: WeightedGraph) -> Fraction:

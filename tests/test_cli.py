@@ -152,6 +152,17 @@ class TestAlphaCommand:
         assert main(["alpha", path, "--power", "1"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "1/2"
 
+    def test_k2_at_the_search_cap(self, capsys):
+        # 2^12 = 4096 vertices, exactly MWIS_CAP: the witness is every vertex
+        # whose first coordinate is u.
+        path = str(DEMO_DATA / "k2_uniform.json")
+        assert main(["alpha", path, "--power", "12"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "1/2"
+        labels = out[1].removeprefix("witness: ").split()
+        assert len(set(labels)) == len(labels) == 2048
+        assert all(label.startswith("(u,") for label in labels)
+
     def test_over_cap_exits_3(self, fixture_file, capsys):
         doc = {
             "vertices": [{"id": f"c{i}", "measure": "1/5"} for i in range(5)],

@@ -19,7 +19,7 @@ from tensorindep import (
 )
 
 from conftest import measured_graphs
-from oracles import brute_alpha, random_measured_graph
+from oracles import all_uniform_graphs, brute_alpha, random_measured_graph
 
 
 class TestAlphaBar:
@@ -74,6 +74,19 @@ class TestAlphaBar:
             g = random_measured_graph(rng, 10)
             value, witness = brute_alpha(g)
             result = alpha_bar(g)
+            assert result.value == value
+            assert result.witness == witness
+
+    def test_matches_brute_force_on_tied_powers(self, rng, k2, k2_biased):
+        # Powers are full of optimal sets of equal measure, so the witness
+        # is decided by the tie-break alone.
+        bases = list(all_uniform_graphs(3))
+        bases += [random_measured_graph(rng, 3, min_vertices=3) for _ in range(20)]
+        powers = [tensor_power(g, 2) for g in bases]
+        powers += [tensor_power(k2, 3), tensor_power(k2_biased, 3)]
+        for power in powers:
+            value, witness = brute_alpha(power)
+            result = alpha_bar(power)
             assert result.value == value
             assert result.witness == witness
 
