@@ -7,8 +7,9 @@ descriptor:
 1. a violating independent set forces the limit to 1;
 2. otherwise a descriptor exists, so the limit is at most 1/2, and
    a. any power whose independence measure reaches 1/2 settles it there,
-   b. a bipartition settles it there as well, but fires only when power 1
-      is over the cap: each side X has mu(X) <= mu(N(X)) <= mu(Y) and vice
+   b. a bipartition settles it there as well, but fires only for graphs
+      with more than ``MWIS_CAP`` vertices, whose power 1 is over the
+      search cap: each side X has mu(X) <= mu(N(X)) <= mu(Y) and vice
       versa, so the independent side X weighs 1/2 and rule a fires first,
    c. a vertex-transitive uniform graph has a constant sequence, so the
       limit equals the base value,
@@ -44,7 +45,7 @@ from .hallflow import (
     independent_witness_from_set,
     violating_set_from_flow,
 )
-from .mwis import MWIS_CAP, AlphaSequence, alpha_sequence
+from .mwis import AlphaSequence, alpha_sequence, default_power_cap
 from .tensor import tensor_power
 
 
@@ -88,22 +89,7 @@ class BoundSequence:
     closed_form_limit: Fraction
 
 
-def default_power_cap(vertex_count: int, cap: int = MWIS_CAP) -> int:
-    """Largest exponent whose power stays within the search cap (at least 1)."""
-    if vertex_count <= 1:
-        return 1
-    n = 1
-    while vertex_count ** (n + 1) <= cap and n < 64:
-        n += 1
-    return n
-
-
-def classify(
-    g: WeightedGraph,
-    n_max: Optional[int] = None,
-    *,
-    mwis_cap: int = MWIS_CAP,
-) -> LimitVerdict:
+def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
     """Run the decision cascade and return a certified verdict.
 
     Size-cap signals never abort the classification; whatever was
@@ -124,10 +110,10 @@ def classify(
     # No violating set: a descriptor exists, so the limit is at most 1/2.
     descriptor = descriptor_from_flow(cover, flow)
     if n_max is None:
-        n_max = default_power_cap(g.n, mwis_cap)
+        n_max = default_power_cap(g.n)
     elif n_max < 1:
         raise ValueError("n_max must be positive")
-    seq: AlphaSequence = alpha_sequence(g, n_max, cap=mwis_cap)
+    seq: AlphaSequence = alpha_sequence(g, n_max)
     notes: list[str] = []
     if seq.truncated:
         notes.append(f"alpha sequence truncated after {len(seq.terms)} of {n_max} powers")
@@ -163,7 +149,7 @@ def classify(
     except SizeCapExceeded as exc:
         transitive = None
         notes.append(str(exc))
-    if transitive and seq.terms:
+    if transitive:
         return bounded_by_half(
             VerdictKind.EXACT_VALUE,
             "vertex-transitive-uniform",

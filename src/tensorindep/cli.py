@@ -1,8 +1,9 @@
 """Command-line front end: file formats, report emission, exit codes.
 
-Exit codes: 0 success, 2 invalid input, 3 size cap hit (a partial JSON
-report is still emitted), 4 precondition unmet (descriptor requested for
-a graph with a violating set), 5 verification failed.
+Exit codes: 0 success, 2 invalid input, 3 size cap hit: a requested power
+has more than ``MWIS_CAP`` vertices (``analyze`` still emits the partial
+report), 4 precondition unmet (descriptor requested for a graph with a
+violating set), 5 verification failed.
 
 Graphs are read from a JSON document
 
@@ -19,20 +20,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classifier import (
-    VerdictKind,
-    classify,
-    default_power_cap,
-    lower_bound_sequence,
-)
+from .classifier import VerdictKind, classify, lower_bound_sequence
 from .descriptor import build_descriptor, interval_hom_to_json, verify_finite_hom
 from .errors import SaturationRequired, SizeCapExceeded
 from .graphs import WeightedGraph, iter_bits, mask_from
-from .mwis import MWIS_CAP, alpha_bar, alpha_sequence
+from .mwis import MWIS_CAP, alpha_bar, alpha_sequence, default_power_cap
 from .tensor import tensor_power
 
 EXIT_OK = 0
@@ -47,8 +44,13 @@ class DocumentError(ValueError):
 
 
 def _parse_rational(text) -> Fraction:
+    literal = str(text)
+    # Fraction() expands an exponent into its full integer, which takes
+    # time exponential in the exponent's digits; only p/q and decimals pass.
+    if re.search(r"[0-9.][eE]", literal):
+        raise DocumentError(f"exponent notation in {literal!r} rejected; write p/q")
     try:
-        return Fraction(str(text))
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"invalid rational {text!r}") from exc
 
@@ -60,7 +62,7 @@ def _frac_str(x: Fraction) -> str:
 def parse_graph_json(text: str) -> WeightedGraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DocumentError("top-level JSON value must be an object")
@@ -169,14 +171,13 @@ def _certificate_json(g: WeightedGraph, verdict) -> dict:
 def build_report(
     g: WeightedGraph,
     n_max: int,
-    mwis_cap: int,
     seed_set: Optional[int],
 ) -> tuple[dict, bool]:
     """Assemble the full analysis report; returns (report, cap_was_hit)."""
-    verdict = classify(g, n_max, mwis_cap=mwis_cap)
+    verdict = classify(g, n_max)
     cert = verdict.certificate
     if verdict.kind is VerdictKind.EXACT_ONE:
-        seq = alpha_sequence(g, n_max, cap=mwis_cap)
+        seq = alpha_sequence(g, n_max)
         terms, truncated = seq.terms, seq.truncated
     else:  # classify already computed the sequence for the certificate
         terms, truncated = cert.alpha_terms, cert.alpha_truncated
@@ -267,14 +268,14 @@ def _parse_seed_set(g: WeightedGraph, ids: str) -> int:
 
 def cmd_analyze(args) -> int:
     g = load_graph(args.path)
-    n_max = args.max_power if args.max_power else default_power_cap(g.n, args.mwis_cap)
+    n_max = args.max_power if args.max_power else default_power_cap(g.n)
     if n_max < 1:
         raise DocumentError("--max-power must be positive")
     seed_set = None
     if args.seed_independent_set:
         seed_set = _parse_seed_set(g, args.seed_independent_set)
     try:
-        report, truncated = build_report(g, n_max, args.mwis_cap, seed_set)
+        report, truncated = build_report(g, n_max, seed_set)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     if args.format == "json":
@@ -290,12 +291,12 @@ def cmd_alpha(args) -> int:
     g = load_graph(args.path)
     if args.power < 1:
         raise DocumentError("--power must be positive")
-    if g.n**args.power > args.mwis_cap:
+    if g.n**args.power > MWIS_CAP:
         raise SizeCapExceeded(
-            f"search too large: {g.n}**{args.power} vertices exceeds cap {args.mwis_cap}"
+            f"search too large: {g.n}**{args.power} vertices exceeds cap {MWIS_CAP}"
         )
     power = tensor_power(g, args.power)
-    result = alpha_bar(power, cap=args.mwis_cap)
+    result = alpha_bar(power)
     print(_frac_str(result.value))
     print("witness: " + " ".join(power.labels[v] for v in iter_bits(result.witness)))
     return EXIT_OK
@@ -356,14 +357,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--max-power", type=int, default=0, metavar="N")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--mwis-cap", type=int, default=MWIS_CAP)
     p.add_argument("--seed-independent-set", default="", metavar="IDS")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("alpha", help="independence measure of one power")
     p.add_argument("path")
     p.add_argument("--power", type=int, default=1, metavar="N")
-    p.add_argument("--mwis-cap", type=int, default=MWIS_CAP)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("descriptor", help="interval descriptor as JSON")

@@ -78,15 +78,11 @@ class FlowResult:
 
 def build_double_cover(g: WeightedGraph) -> DoubleCover:
     n = g.n
-    labels = [f"({g.labels[z]},A)" for z in range(n)] + [
-        f"({g.labels[z]},B)" for z in range(n)
-    ]
-    measures = [m / 2 for m in g.measures] * 2
-    edges = []
-    for u, v in g.edges():
-        edges.append((u, n + v))
-        edges.append((v, n + u))
-    g_prime = WeightedGraph(measures, edges, labels)
+    labels = tuple(f"({z},A)" for z in g.labels) + tuple(f"({z},B)" for z in g.labels)
+    measures = tuple(m / 2 for m in g.measures) * 2
+    # (z, A) sees the B copies of z's neighbors, and (z, B) the A copies.
+    adj = tuple(m << n for m in g.adj) + g.adj
+    g_prime = WeightedGraph._from_parts(labels, measures, adj)
     back_map = tuple((z, "A") for z in range(n)) + tuple((z, "B") for z in range(n))
     side_x = (1 << n) - 1
     return DoubleCover(g, g_prime, side_x, side_x << n, back_map)

@@ -28,11 +28,21 @@ from .errors import SizeCapExceeded
 from .graphs import WeightedGraph, is_independent, iter_bits
 from .tensor import tensor_product
 
-#: Largest vertex count the independent-set search accepts by default.
+#: Largest vertex count the independent-set search accepts.
 MWIS_CAP = 4096
 
 # The exclude branch can recurse once per vertex; leave room at the cap.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * MWIS_CAP))
+
+
+def default_power_cap(vertex_count: int) -> int:
+    """Largest exponent whose power stays within ``MWIS_CAP`` (at least 1)."""
+    if vertex_count <= 1:
+        return 1
+    n = 1
+    while vertex_count ** (n + 1) <= MWIS_CAP:
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -171,7 +181,7 @@ def _branch_and_bound(adj: tuple[int, ...], weights: list[int], comp: int) -> in
     return best
 
 
-def alpha_bar(g: WeightedGraph, *, cap: int = MWIS_CAP) -> AlphaResult:
+def alpha_bar(g: WeightedGraph) -> AlphaResult:
     """Maximum measure of an independent set, with a canonical witness.
 
     Among all optimal sets the witness is the one that prefers inclusion
@@ -180,8 +190,8 @@ def alpha_bar(g: WeightedGraph, *, cap: int = MWIS_CAP) -> AlphaResult:
     the tie bit 2^(n-1-v) below its measure, and since all tie bits
     together stay under 2^n they never outweigh one unit of measure.
     """
-    if g.n > cap:
-        raise SizeCapExceeded(f"search too large: {g.n} vertices exceeds cap {cap}")
+    if g.n > MWIS_CAP:
+        raise SizeCapExceeded(f"search too large: {g.n} vertices exceeds cap {MWIS_CAP}")
     n = g.n
     weights, scale = _int_weights(g)
     ranked = [w << n | 1 << (n - 1 - v) for v, w in enumerate(weights)]
@@ -201,7 +211,7 @@ def _alpha_value(g: WeightedGraph) -> Fraction:
     return Fraction(_max_weight(g.adj, weights, g.full_mask), scale)
 
 
-def alpha_sequence(g: WeightedGraph, n_max: int, *, cap: int = MWIS_CAP) -> AlphaSequence:
+def alpha_sequence(g: WeightedGraph, n_max: int) -> AlphaSequence:
     """Exact values for g^1 .. g^n_max, stopping early at the size cap.
 
     The sequence is checked to be nondecreasing on every run; a decrease
@@ -212,7 +222,7 @@ def alpha_sequence(g: WeightedGraph, n_max: int, *, cap: int = MWIS_CAP) -> Alph
     terms: list[Fraction] = []
     power = None
     for k in range(1, n_max + 1):
-        if g.n**k > cap:
+        if g.n**k > MWIS_CAP:
             return AlphaSequence(tuple(terms), True)
         power = g if power is None else tensor_product(power, g)
         value = _alpha_value(power)

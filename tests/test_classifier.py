@@ -25,6 +25,7 @@ from tensorindep import (
     violating_independent_set,
 )
 from tensorindep.classifier import default_power_cap
+from tensorindep.mwis import MWIS_CAP
 
 from conftest import measured_graphs
 from oracles import all_uniform_graphs, brute_alpha, brute_violating_any
@@ -69,10 +70,9 @@ class TestClassify:
         assert verdict.certificate.alpha_terms == (Fraction(3, 7), Fraction(3, 7))
 
     def test_even_cycle_by_bipartition_when_alpha_is_capped(self):
-        # With the search cap below the vertex count no alpha term exists,
-        # so the bipartite rule settles the verdict.
-        g = WeightedGraph([Fraction(1, 6)] * 6, [(i, (i + 1) % 6) for i in range(6)])
-        verdict = classify(g, 2, mwis_cap=4)
+        # With more vertices than MWIS_CAP no alpha term exists, so the
+        # bipartite rule settles the verdict.
+        verdict = classify(cycle_graph(MWIS_CAP + 2), 2)
         assert verdict.kind is VerdictKind.EXACT_HALF
         assert verdict.rule == "bipartite+descriptor"
         assert verdict.certificate.alpha_truncated
@@ -103,10 +103,11 @@ class TestClassify:
         assert any("transitivity" in note for note in verdict.certificate.notes)
 
     def test_default_power_cap(self):
-        assert default_power_cap(5, 4096) == 5
-        assert default_power_cap(7, 4096) == 4
-        assert default_power_cap(1, 4096) == 1
-        assert default_power_cap(5000, 4096) == 1
+        assert default_power_cap(2) == 12
+        assert default_power_cap(5) == 5
+        assert default_power_cap(7) == 4
+        assert default_power_cap(1) == 1
+        assert default_power_cap(5000) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(measured_graphs(max_vertices=4))

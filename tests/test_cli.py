@@ -4,12 +4,21 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorindep import build_double_cover, check_interval_hom, hallflow, interval_hom_from_json
-from tensorindep.cli import main
+from tensorindep import (
+    WeightedGraph,
+    build_double_cover,
+    check_interval_hom,
+    hallflow,
+    interval_hom_from_json,
+)
+from tensorindep.cli import DocumentError, main, parse_graph_edgelist, parse_graph_json
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -82,10 +91,11 @@ class TestAnalyze:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_truncation_exits_3_with_partial_report(self, fixture_file, capsys):
+        # K2^13 has 8192 vertices, over MWIS_CAP; the first 12 powers fit.
         path = fixture_file("k2.json", K2_JSON)
-        assert main(["analyze", path, "--max-power", "9", "--mwis-cap", "4"]) == 3
+        assert main(["analyze", path, "--max-power", "13"]) == 3
         report = json.loads(capsys.readouterr().out)
-        assert report["alpha_sequence"] == ["1/2", "1/2"]
+        assert report["alpha_sequence"] == ["1/2"] * 12
         assert report["verdict"]["certificate"]["alpha_truncated"] is True
 
     def test_text_format_carries_the_same_facts(self, fixture_file, capsys):
@@ -134,6 +144,54 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("exp.txt", "v a 1e-100000000\nv b 1\n"),
+            (
+                "exp.json",
+                {
+                    "vertices": [
+                        {"id": "a", "measure": "1e-100000000"},
+                        {"id": "b", "measure": "1"},
+                    ]
+                },
+            ),
+        ],
+    )
+    def test_exponent_literal_exits_2_at_once(self, fixture_file, capsys, name, payload):
+        # Fraction() would expand the exponent into a 10^8-digit integer.
+        path = fixture_file(name, payload)
+        start = time.perf_counter()
+        assert main(["analyze", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "'1e-100000000'" in capsys.readouterr().err
+
+    def test_huge_json_integer_exits_2(self, fixture_file, capsys):
+        text = '{"vertices": [{"id": "u", "measure": ' + "1" * 5000 + "}]}"
+        assert main(["analyze", fixture_file("big.json", text)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+    def test_deep_json_nesting_exits_2(self, fixture_file, capsys):
+        text = '{"vertices": ' + "[" * 20000 + "]" * 20000 + "}"
+        assert main(["analyze", fixture_file("deep.json", text)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+
+class TestDefaultAnalyze:
+    """``analyze`` without --max-power goes up to the largest power within MWIS_CAP."""
+
+    @pytest.mark.parametrize("name, powers", [("k2_uniform.json", 12), ("p3_path.json", 7)])
+    def test_default_equals_explicit_cap(self, capsys, name, powers):
+        path = str(DEMO_DATA / name)
+        assert main(["analyze", path]) == 0
+        default = capsys.readouterr()
+        assert len(json.loads(default.out)["alpha_sequence"]) == powers
+        assert main(["analyze", path, "--max-power", str(powers)]) == 0
+        explicit = capsys.readouterr()
+        assert default.out == explicit.out
+        assert default.err == explicit.err == ""
+
 
 class TestAlphaCommand:
     def test_c5_square(self, fixture_file, capsys):
@@ -169,7 +227,8 @@ class TestAlphaCommand:
             "edges": [[f"c{i}", f"c{(i + 1) % 5}"] for i in range(5)],
         }
         path = fixture_file("c5.json", doc)
-        assert main(["alpha", path, "--power", "2", "--mwis-cap", "10"]) == 3
+        # 5^6 = 15625 vertices, over MWIS_CAP: refused before the power is built.
+        assert main(["alpha", path, "--power", "6"]) == 3
 
 
 class TestDescriptorCommand:
@@ -247,6 +306,30 @@ class TestVerifyHomCommand:
         bad.write_bytes(b'{"u": "\xff"}')
         assert main(["verify-hom", k2, k2, str(bad)]) == 2
         assert "cannot read map file" in capsys.readouterr().err
+
+
+# Fragments of both input formats, the values that once escaped the
+# parsers (an exponent literal, a 5000-digit integer, 20,000-deep nesting)
+# among them.
+_DOCUMENT_TOKENS = [
+    "{", "}", "[", "]", ",", ":", " ", "\n", '"', "#",
+    '"vertices"', '"edges"', '"id"', '"measure"', '"u"', '"v"',
+    '"1/2"', '"1/0"', '"-1/2"', '"1e-100000000"', "1", "0.5", "1e-5", "-1",
+    "null", "true", "NaN", "Infinity", "1" * 5000, "[" * 20000, "]" * 20000,
+    "v", "e", "u", "w", "1/2", "1/3", "2/3", "1/0", "x/y", "0.25", "1e-100000000",
+]
+
+
+class TestParserFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_DOCUMENT_TOKENS), max_size=40).map("".join))
+    def test_parsers_return_a_graph_or_a_document_error(self, text):
+        for parse in (parse_graph_json, parse_graph_edgelist):
+            try:
+                graph = parse(text)
+            except DocumentError:
+                continue
+            assert isinstance(graph, WeightedGraph)
 
 
 class TestOneCoverOneFlow:

@@ -14,9 +14,11 @@ from tensorindep import (
     is_independent,
     mask_from,
     measure_of,
+    path_graph,
     star_graph,
     tensor_power,
 )
+from tensorindep.mwis import MWIS_CAP
 
 from conftest import measured_graphs
 from oracles import all_uniform_graphs, brute_alpha, random_measured_graph
@@ -57,9 +59,9 @@ class TestAlphaBar:
         h = WeightedGraph([Fraction(0), Fraction(1)], [(0, 1)])
         assert alpha_bar(h).witness == 0b10
 
-    def test_cap_signal(self, c5):
+    def test_cap_signal(self):
         with pytest.raises(SizeCapExceeded, match="search too large"):
-            alpha_bar(c5, cap=4)
+            alpha_bar(path_graph(MWIS_CAP + 1))
 
     @settings(max_examples=60)
     @given(measured_graphs(max_vertices=6))
@@ -117,9 +119,10 @@ class TestAlphaSequence:
         # coordinate is an endpoint form a maximum independent set.
         assert alpha_sequence(p3, 2).terms == (Fraction(2, 3), Fraction(2, 3))
 
-    def test_truncation_marker(self, c5):
-        seq = alpha_sequence(c5, 3, cap=30)
-        assert seq.terms == (Fraction(2, 5), Fraction(2, 5))
+    def test_truncation_marker(self):
+        # 65^2 = 4225 vertices is already over MWIS_CAP.
+        seq = alpha_sequence(path_graph(65), 3)
+        assert seq.terms == (Fraction(33, 65),)
         assert seq.truncated
 
     def test_invalid_n(self, c5):
