@@ -22,7 +22,6 @@ from tensorindep import (
     SaturationRequired,
     WeightedGraph,
     build_descriptor,
-    build_double_cover,
     check_interval_hom,
     complete_graph,
     interval_hom_to_json,
@@ -34,7 +33,7 @@ print("=" * 64)
 
 k2 = WeightedGraph([Fraction(1, 2)] * 2, [(0, 1)], ["u", "v"])
 report = build_descriptor(k2)
-cover = build_double_cover(k2)
+cover = report.cover
 print("\npieces (half-open intervals -> cover vertices):")
 for piece in interval_hom_to_json(report.hom, cover):
     print(f"  [{piece['lo']}, {piece['hi']}) -> {piece['target']}")
@@ -47,10 +46,9 @@ print("=" * 64)
 
 k3 = complete_graph(3)
 report3 = build_descriptor(k3)
-cover3 = build_double_cover(k3)
 fibers = {}
 for piece in report3.hom.pieces:
-    label = cover3.g_prime.labels[piece.target]
+    label = report3.cover.labels[piece.target]
     fibers[label] = fibers.get(label, Fraction(0)) + (piece.hi - piece.lo)
 print()
 for label, length in sorted(fibers.items()):

@@ -44,7 +44,6 @@ from .graphs import (
     star_graph,
 )
 from .hallflow import (
-    DoubleCover,
     FlowResult,
     build_double_cover,
     cover_flow,
@@ -74,7 +73,6 @@ __all__ = [
     "BoundSequence",
     "Certificate",
     "DescriptorReport",
-    "DoubleCover",
     "FlowResult",
     "IntervalHom",
     "IntervalPiece",

@@ -92,10 +92,15 @@ class BoundSequence:
 def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
     """Run the decision cascade and return a certified verdict.
 
-    Size-cap signals never abort the classification; whatever was
-    computed stays in the certificate and the cascade falls through to
-    the next applicable rule.
+    ``n_max`` is the highest power searched and must be at least 1; None
+    takes ``default_power_cap(g.n)``. Size-cap signals never abort the
+    classification; whatever was computed stays in the certificate and
+    the cascade falls through to the next applicable rule.
     """
+    if n_max is None:
+        n_max = default_power_cap(g.n)
+    elif n_max < 1:
+        raise ValueError("n_max must be positive")
     cover, flow = cover_flow(g)
     q = violating_set_from_flow(g, flow)
     if q is not None:
@@ -109,10 +114,6 @@ def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
 
     # No violating set: a descriptor exists, so the limit is at most 1/2.
     descriptor = descriptor_from_flow(cover, flow)
-    if n_max is None:
-        n_max = default_power_cap(g.n)
-    elif n_max < 1:
-        raise ValueError("n_max must be positive")
     seq: AlphaSequence = alpha_sequence(g, n_max)
     notes: list[str] = []
     if seq.truncated:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -48,11 +49,11 @@ def _parse_rational(text) -> Fraction:
     # Fraction() expands an exponent into its full integer, which takes
     # time exponential in the exponent's digits; only p/q and decimals pass.
     if re.search(r"[0-9.][eE]", literal):
-        raise DocumentError(f"exponent notation in {literal!r} rejected; write p/q")
+        raise DocumentError(f"exponent notation in {reprlib.repr(literal)} rejected; write p/q")
     try:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"invalid rational {text!r}") from exc
+        raise DocumentError(f"invalid rational {reprlib.repr(text)}") from exc
 
 
 def _frac_str(x: Fraction) -> str:
@@ -74,7 +75,7 @@ def parse_graph_json(text: str) -> WeightedGraph:
     measures: list[Fraction] = []
     for entry in vertices:
         if not isinstance(entry, dict) or "id" not in entry or "measure" not in entry:
-            raise DocumentError(f"vertex entry {entry!r} needs id and measure")
+            raise DocumentError(f"vertex entry {reprlib.repr(entry)} needs id and measure")
         ids.append(str(entry["id"]))
         measures.append(_parse_rational(entry["measure"]))
     if not isinstance(edges, list):
@@ -82,7 +83,7 @@ def parse_graph_json(text: str) -> WeightedGraph:
     raw_edges = []
     for pair in edges:
         if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(f"edge entry {pair!r} must be an [id, id] pair")
+            raise DocumentError(f"edge entry {reprlib.repr(pair)} must be an [id, id] pair")
         raw_edges.append((str(pair[0]), str(pair[1])))
     return _assemble(ids, measures, raw_edges)
 
@@ -114,14 +115,16 @@ def _assemble(
     index: dict[str, int] = {}
     for vid in ids:
         if vid in index:
-            raise DocumentError(f"duplicate vertex id {vid!r}")
+            raise DocumentError(f"duplicate vertex id {reprlib.repr(vid)}")
         index[vid] = len(index)
     edges = []
     for a, b in raw_edges:
         if a not in index or b not in index:
-            raise DocumentError(f"edge [{a},{b}] references an undeclared vertex")
+            raise DocumentError(
+                f"edge [{reprlib.repr(a)}, {reprlib.repr(b)}] references an undeclared vertex"
+            )
         if a == b:
-            raise DocumentError(f"self-loop at {a!r} rejected")
+            raise DocumentError(f"self-loop at {reprlib.repr(a)} rejected")
         edges.append((index[a], index[b]))
     try:
         return WeightedGraph(measures, edges, ids)
@@ -261,14 +264,16 @@ def _parse_seed_set(g: WeightedGraph, ids: str) -> int:
     for token in ids.split(","):
         token = token.strip()
         if token not in index:
-            raise DocumentError(f"unknown vertex id {token!r} in --seed-independent-set")
+            raise DocumentError(
+                f"unknown vertex id {reprlib.repr(token)} in --seed-independent-set"
+            )
         chosen.append(index[token])
     return mask_from(chosen)
 
 
 def cmd_analyze(args) -> int:
     g = load_graph(args.path)
-    n_max = args.max_power if args.max_power else default_power_cap(g.n)
+    n_max = default_power_cap(g.n) if args.max_power is None else args.max_power
     if n_max < 1:
         raise DocumentError("--max-power must be positive")
     seed_set = None
@@ -331,14 +336,16 @@ def cmd_verify_hom(args) -> int:
     mapping = []
     for vid in h.labels:
         if vid not in raw:
-            raise DocumentError(f"map is missing vertex {vid!r}")
+            raise DocumentError(f"map is missing vertex {reprlib.repr(vid)}")
         target = str(raw[vid])
         if target not in g_index:
-            raise DocumentError(f"map sends {vid!r} to unknown vertex {target!r}")
+            raise DocumentError(
+                f"map sends {reprlib.repr(vid)} to unknown vertex {reprlib.repr(target)}"
+            )
         mapping.append(g_index[target])
     extra = set(raw) - set(h.labels)
     if extra:
-        raise DocumentError(f"map mentions unknown vertices {sorted(extra)}")
+        raise DocumentError(f"map mentions unknown vertices {reprlib.repr(sorted(extra))}")
     if verify_finite_hom(mapping, h, g):
         print("measure-preserving homomorphism: yes")
         return EXIT_OK
@@ -355,7 +362,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full classification report")
     p.add_argument("path")
-    p.add_argument("--max-power", type=int, default=0, metavar="N")
+    p.add_argument("--max-power", type=int, default=None, metavar="N")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--seed-independent-set", default="", metavar="IDS")
     p.set_defaults(func=cmd_analyze)

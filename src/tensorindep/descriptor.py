@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import SaturationRequired
 from .graphs import WeightedGraph, iter_bits
-from .hallflow import HALF, DoubleCover, FlowResult, cover_flow
+from .hallflow import HALF, FlowResult, cover_flow
 from .hallflow import max_flow  # noqa: F401  still bound here for bench/tests/test_bench.py
 
 
@@ -45,16 +45,15 @@ class IntervalHom:
 
 @dataclass(frozen=True)
 class DescriptorReport:
-    """Descriptor map, the 1/2 bound it certifies, and piece provenance.
+    """Descriptor map, the 1/2 bound it certifies, and the cover it maps onto.
 
-    ``notes`` lists, aligned with the pieces, the edge (x, y) of ``cover``
-    whose flow produced each piece.
+    ``cover`` is the graph from ``build_double_cover``; piece targets are
+    its vertex indices.
     """
 
     hom: IntervalHom
     upper_bound: Fraction
-    notes: tuple[tuple[int, int], ...]
-    cover: DoubleCover
+    cover: WeightedGraph
 
 
 def build_descriptor(g: WeightedGraph) -> DescriptorReport:
@@ -62,13 +61,14 @@ def build_descriptor(g: WeightedGraph) -> DescriptorReport:
     return descriptor_from_flow(*cover_flow(g))
 
 
-def descriptor_from_flow(cover: DoubleCover, result: FlowResult) -> DescriptorReport:
+def descriptor_from_flow(cover: WeightedGraph, result: FlowResult) -> DescriptorReport:
     """Construct the interval map from a maximum flow on the cover's network.
 
     Requires the flow to saturate at exactly 1/2 (no violating set);
     otherwise no such map exists and SaturationRequired is raised.
     Zero-flow edges contribute no piece. Pieces are listed by left
-    endpoint, base tiles first, mirrors after.
+    endpoint, base tiles first, mirrors after, so with k tiles, pieces i
+    and i + k target the two ends of the cover edge whose flow made them.
     """
     if result.value != HALF:
         raise SaturationRequired(
@@ -76,24 +76,21 @@ def descriptor_from_flow(cover: DoubleCover, result: FlowResult) -> DescriptorRe
         )
     base_pieces = []
     mirror_pieces = []
-    notes = []
     position = Fraction(0)
-    for x in range(cover.base.n):
-        for y in iter_bits(cover.g_prime.adj[x]):
+    for x in range(cover.n // 2):
+        for y in iter_bits(cover.adj[x]):
             f = result.flows[(x, y)]
             if f == 0:
                 continue
             base_pieces.append(IntervalPiece(position, position + f, x))
             mirror_pieces.append(IntervalPiece(position + HALF, position + f + HALF, y))
-            notes.append((x, y))
             position += f
     if position != HALF:
         raise AssertionError(f"edge flows tile [0,{position}) instead of [0,1/2)")
-    pieces = tuple(base_pieces + mirror_pieces)
-    return DescriptorReport(IntervalHom(pieces), HALF, tuple(notes + notes), cover)
+    return DescriptorReport(IntervalHom(tuple(base_pieces + mirror_pieces)), HALF, cover)
 
 
-def check_interval_hom(hom: IntervalHom, cover: DoubleCover) -> Optional[str]:
+def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
     """Diagnose the first failed descriptor property, or None if all hold.
 
     Checked, in exact arithmetic: the pieces tile [0,1) with no gap or
@@ -102,11 +99,10 @@ def check_interval_hom(hom: IntervalHom, cover: DoubleCover) -> Optional[str]:
     adjacent target. A piecewise-constant map makes these finitely many
     breakpoint checks decide the continuum conditions.
     """
-    gp = cover.g_prime
     for p in hom.pieces:
         if not (0 <= p.lo < p.hi <= 1):
             return f"piece [{p.lo},{p.hi}) is not a half-open subinterval of [0,1)"
-        if not 0 <= p.target < gp.n:
+        if not 0 <= p.target < cover.n:
             return f"piece target {p.target} is not a cover vertex"
 
     ordered = sorted(hom.pieces, key=lambda p: p.lo)
@@ -120,14 +116,14 @@ def check_interval_hom(hom: IntervalHom, cover: DoubleCover) -> Optional[str]:
     if cursor != 1:
         return f"coverage stops at {cursor} instead of 1"
 
-    fiber = [Fraction(0)] * gp.n
+    fiber = [Fraction(0)] * cover.n
     for p in hom.pieces:
         fiber[p.target] += p.hi - p.lo
-    for z in range(gp.n):
-        if fiber[z] != gp.measures[z]:
+    for z in range(cover.n):
+        if fiber[z] != cover.measures[z]:
             return (
-                f"fiber of {gp.labels[z]} has length {fiber[z]}, "
-                f"measure is {gp.measures[z]}"
+                f"fiber of {cover.labels[z]} has length {fiber[z]}, "
+                f"measure is {cover.measures[z]}"
             )
 
     upper = {}
@@ -143,10 +139,10 @@ def check_interval_hom(hom: IntervalHom, cover: DoubleCover) -> Optional[str]:
         if key not in upper:
             return f"piece [{p.lo},{p.hi}) has no mirror at +1/2"
         mate = upper[key]
-        if not gp.adj[p.target] >> mate & 1:
+        if not cover.adj[p.target] >> mate & 1:
             return (
-                f"mirror pair [{p.lo},{p.hi}) targets {gp.labels[p.target]} and "
-                f"{gp.labels[mate]}, which are not adjacent in the cover"
+                f"mirror pair [{p.lo},{p.hi}) targets {cover.labels[p.target]} and "
+                f"{cover.labels[mate]}, which are not adjacent in the cover"
             )
     return None
 
@@ -174,9 +170,9 @@ def verify_finite_hom(
     return all(fiber[t] == g.measures[t] for t in range(g.n))
 
 
-def interval_hom_to_json(hom: IntervalHom, cover: DoubleCover) -> list[dict]:
+def interval_hom_to_json(hom: IntervalHom, cover: WeightedGraph) -> list[dict]:
     """Serialize pieces as {lo, hi, target-label} dicts in piece order."""
-    labels = cover.g_prime.labels
+    labels = cover.labels
     return [
         {
             "lo": f"{p.lo.numerator}/{p.lo.denominator}",
@@ -187,8 +183,8 @@ def interval_hom_to_json(hom: IntervalHom, cover: DoubleCover) -> list[dict]:
     ]
 
 
-def interval_hom_from_json(data: Sequence[dict], cover: DoubleCover) -> IntervalHom:
-    labels = cover.g_prime.labels
+def interval_hom_from_json(data: Sequence[dict], cover: WeightedGraph) -> IntervalHom:
+    labels = cover.labels
     if len(set(labels)) != len(labels):
         raise ValueError("cover labels are not unique; cannot resolve targets")
     index = {label: z for z, label in enumerate(labels)}

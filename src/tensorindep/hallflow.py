@@ -37,22 +37,6 @@ HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
-class DoubleCover:
-    """The cover G x K2 with its side masks and the map back to G.
-
-    Vertex (z, A) of the cover sits at index z, vertex (z, B) at index
-    n + z, so side X comes first and both sides follow the base order.
-    Cover measures are half the base measures.
-    """
-
-    base: WeightedGraph
-    g_prime: WeightedGraph
-    side_x: int
-    side_y: int
-    back_map: tuple[tuple[int, str], ...]
-
-
-@dataclass(frozen=True)
 class FlowNetwork:
     """Source/sink network over the cover vertices, arcs in build order."""
 
@@ -66,42 +50,45 @@ class FlowNetwork:
 class FlowResult:
     """Exact maximum flow with its canonical minimum cut.
 
-    ``flows`` maps every arc to its flow; ``cut_source_side`` is the set
-    of cover vertices reachable from the source in the final residual
-    network, which is the inclusion-minimal minimum cut.
+    ``flows`` maps every arc to its flow; ``cut_source_side`` is the
+    bitmask of cover vertices reachable from the source in the final
+    residual network, which is the inclusion-minimal minimum cut.
     """
 
     value: Fraction
     flows: dict[tuple[int, int], Fraction]
-    cut_source_side: frozenset[int]
+    cut_source_side: int
 
 
-def build_double_cover(g: WeightedGraph) -> DoubleCover:
+def build_double_cover(g: WeightedGraph) -> WeightedGraph:
+    """The bipartite double cover G x K2 as a graph on 2n vertices.
+
+    Vertex (z, A) sits at index z and vertex (z, B) at index n + z, where
+    n is ``g.n``, so the A side comes first and both sides follow the base
+    order. (z, A) and (w, B) are adjacent exactly when z ~ w in ``g``, and
+    each cover vertex carries half the measure of its base vertex.
+    """
     n = g.n
     labels = tuple(f"({z},A)" for z in g.labels) + tuple(f"({z},B)" for z in g.labels)
     measures = tuple(m / 2 for m in g.measures) * 2
     # (z, A) sees the B copies of z's neighbors, and (z, B) the A copies.
     adj = tuple(m << n for m in g.adj) + g.adj
-    g_prime = WeightedGraph._from_parts(labels, measures, adj)
-    back_map = tuple((z, "A") for z in range(n)) + tuple((z, "B") for z in range(n))
-    side_x = (1 << n) - 1
-    return DoubleCover(g, g_prime, side_x, side_x << n, back_map)
+    return WeightedGraph._from_parts(labels, measures, adj)
 
 
-def condition_network(cover: DoubleCover) -> FlowNetwork:
-    n = cover.base.n
-    gp = cover.g_prime
-    source = 2 * n
-    sink = 2 * n + 1
+def condition_network(cover: WeightedGraph) -> FlowNetwork:
+    n = cover.n // 2
+    source = cover.n
+    sink = cover.n + 1
     arcs: list[tuple[int, int, Fraction]] = []
     for x in range(n):
-        arcs.append((source, x, gp.measures[x]))
+        arcs.append((source, x, cover.measures[x]))
     for x in range(n):
-        for y in iter_bits(gp.adj[x]):
+        for y in iter_bits(cover.adj[x]):
             arcs.append((x, y, BIG))
-    for y in range(n, 2 * n):
-        arcs.append((y, sink, gp.measures[y]))
-    return FlowNetwork(2 * n, source, sink, tuple(arcs))
+    for y in range(n, cover.n):
+        arcs.append((y, sink, cover.measures[y]))
+    return FlowNetwork(cover.n, source, sink, tuple(arcs))
 
 
 def max_flow(net: FlowNetwork) -> FlowResult:
@@ -115,7 +102,6 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     """
     scale = math.lcm(*(c.denominator for _, _, c in net.arcs)) if net.arcs else 1
     caps = [c.numerator * (scale // c.denominator) for _, _, c in net.arcs]
-    unbounded = max(caps, default=0) + 1
     node_count = net.graph_nodes + 2
     # Forward arc i and its reverse live at graph[u][..] entries [v, cap, rev].
     graph: list[list[list[int]]] = [[] for _ in range(node_count)]
@@ -143,27 +129,40 @@ def max_flow(net: FlowNetwork) -> FlowResult:
                     queue.append(v)
         return level[sink] >= 0
 
-    def dfs(u: int, pushed: int) -> int:
-        if u == sink:
-            return pushed
-        while pointer[u] < len(graph[u]):
-            edge = graph[u][pointer[u]]
-            v, cap, rev = edge
-            if cap > 0 and level[v] == level[u] + 1:
-                got = dfs(v, min(pushed, cap))
-                if got > 0:
-                    edge[1] -= got
-                    graph[v][rev][1] += got
-                    return got
-            pointer[u] += 1
-        return 0
+    def augment() -> int:
+        # Depth-first search for one source-sink path in the level graph,
+        # kept as an explicit list of arcs so long covers need no deep
+        # recursion. A dead end retreats one arc and moves the parent's
+        # pointer past it; arcs on the found path keep their pointers.
+        path: list[list[int]] = []
+        u = source
+        while u != sink:
+            edges = graph[u]
+            while pointer[u] < len(edges):
+                edge = edges[pointer[u]]
+                if edge[1] > 0 and level[edge[0]] == level[u] + 1:
+                    path.append(edge)
+                    u = edge[0]
+                    break
+                pointer[u] += 1
+            else:
+                if not path:
+                    return 0
+                path.pop()
+                u = path[-1][0] if path else source
+                pointer[u] += 1
+        pushed = min(edge[1] for edge in path)
+        for edge in path:
+            edge[1] -= pushed
+            graph[edge[0]][edge[2]][1] += pushed
+        return pushed
 
     total = 0
     while bfs():
         for i in range(node_count):
             pointer[i] = 0
         while True:
-            pushed = dfs(source, unbounded)
+            pushed = augment()
             if pushed == 0:
                 break
             total += pushed
@@ -174,11 +173,11 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     }
     # The last bfs() failed to reach the sink, so it leveled exactly the
     # vertices reachable from the source in the final residual network.
-    cut = frozenset(v for v in range(net.graph_nodes) if level[v] >= 0)
+    cut = mask_from(v for v in range(net.graph_nodes) if level[v] >= 0)
     return FlowResult(Fraction(total, scale), flows, cut)
 
 
-def cover_flow(g: WeightedGraph) -> tuple[DoubleCover, FlowResult]:
+def cover_flow(g: WeightedGraph) -> tuple[WeightedGraph, FlowResult]:
     """The double cover of ``g`` and the maximum flow on its network."""
     cover = build_double_cover(g)
     return cover, max_flow(condition_network(cover))
@@ -196,7 +195,7 @@ def violating_set_from_flow(g: WeightedGraph, result: FlowResult) -> Optional[in
         return None
     if result.value > HALF:
         raise AssertionError(f"maximum flow {result.value} exceeds 1/2")
-    q = mask_from(v for v in result.cut_source_side if v < g.n)
+    q = result.cut_source_side & g.full_mask
     if measure_of(g, q) <= measure_of(g, neighborhood(g, q)):
         raise AssertionError("cut projection failed to outweigh its neighborhood")
     return q

@@ -102,6 +102,12 @@ class TestClassify:
         assert verdict.kind is VerdictKind.INTERVAL
         assert any("transitivity" in note for note in verdict.certificate.notes)
 
+    def test_power_cap_below_one_rejected_before_the_flow(self, p3, k2):
+        # P3 has a violating set, so its verdict never reads n_max.
+        for g in (p3, k2):
+            with pytest.raises(ValueError, match="n_max"):
+                classify(g, 0)
+
     def test_default_power_cap(self):
         assert default_power_cap(2) == 12
         assert default_power_cap(5) == 5

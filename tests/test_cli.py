@@ -172,6 +172,13 @@ class TestAnalyze:
         assert main(["analyze", fixture_file("big.json", text)]) == 2
         assert capsys.readouterr().err.startswith("error: invalid JSON")
 
+    def test_oversized_measure_echo_is_bounded(self, fixture_file, capsys):
+        doc = {"vertices": [{"id": "u", "measure": "1/" + "3" * 1_000_000}]}
+        assert main(["analyze", fixture_file("long.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid rational")
+        assert len(err.encode()) < 200
+
     def test_deep_json_nesting_exits_2(self, fixture_file, capsys):
         text = '{"vertices": ' + "[" * 20000 + "]" * 20000 + "}"
         assert main(["analyze", fixture_file("deep.json", text)]) == 2
@@ -191,6 +198,13 @@ class TestDefaultAnalyze:
         explicit = capsys.readouterr()
         assert default.out == explicit.out
         assert default.err == explicit.err == ""
+
+    def test_max_power_zero_exits_2(self, capsys):
+        path = str(DEMO_DATA / "k2_uniform.json")
+        assert main(["analyze", path, "--max-power", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-power must be positive" in captured.err
 
 
 class TestAlphaCommand:

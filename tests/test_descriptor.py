@@ -70,12 +70,17 @@ class TestBuildDescriptor:
     def test_deterministic(self, k3):
         assert build_descriptor(k3) == build_descriptor(k3)
 
-    def test_notes_name_cover_edges(self, k2):
-        report = build_descriptor(k2)
-        cover = build_double_cover(k2)
-        for piece, (x, y) in zip(report.hom.pieces, report.notes):
-            assert piece.target in (x, y)
-            assert cover.g_prime.has_edge(x, y)
+    def test_mirror_pairs_name_cover_edges(self, k2, k3):
+        # Base piece i and mirror piece i + k are the A and B ends of the
+        # cover edge whose flow produced them.
+        for g in (k2, k3):
+            report = build_descriptor(g)
+            pieces = report.hom.pieces
+            k = len(pieces) // 2
+            for base, mirror in zip(pieces[:k], pieces[k:]):
+                assert (mirror.lo, mirror.hi) == (base.lo + HALF, base.hi + HALF)
+                assert base.target < g.n <= mirror.target
+                assert report.cover.has_edge(base.target, mirror.target)
 
     @settings(max_examples=40)
     @given(measured_graphs())
@@ -165,8 +170,8 @@ class TestSerialization:
 class TestVerifyFiniteHom:
     def test_cover_projection(self, p3):
         cover = build_double_cover(p3)
-        mapping = [base for base, _side in cover.back_map]
-        assert verify_finite_hom(mapping, cover.g_prime, p3)
+        mapping = [z % p3.n for z in range(cover.n)]
+        assert verify_finite_hom(mapping, cover, p3)
 
     def test_power_projection(self, p3):
         view = TensorPowerView(p3, 2)
@@ -191,11 +196,11 @@ class TestVerifyFiniteHom:
         # Compose the double-cover projection with a power projection:
         # measure-preserving homomorphisms compose.
         cover = build_double_cover(g)
-        first = [base for base, _side in cover.back_map]
-        assert verify_finite_hom(first, cover.g_prime, g)
-        view = TensorPowerView(cover.g_prime, 2)
+        first = [z % g.n for z in range(cover.n)]
+        assert verify_finite_hom(first, cover, g)
+        view = TensorPowerView(cover, 2)
         second = projection_hom(view, [0])
-        power = tensor_power(cover.g_prime, 2)
-        assert verify_finite_hom(second, power, cover.g_prime)
+        power = tensor_power(cover, 2)
+        assert verify_finite_hom(second, power, cover)
         composed = [first[second[v]] for v in range(power.n)]
         assert verify_finite_hom(composed, power, g)

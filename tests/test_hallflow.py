@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from tensorindep import (
     WeightedGraph,
     build_double_cover,
     cover_flow,
+    cycle_graph,
     independent_witness_from_set,
     is_independent,
+    iter_bits,
     mask_from,
     measure_of,
     neighborhood,
@@ -41,7 +44,7 @@ def flow_is_internally_consistent(net, result):
     assert outflow.get(net.source, 0) == result.value
     assert inflow.get(net.sink, 0) == result.value
     # Cut capacity equals the flow value (max-flow equals min-cut).
-    cut = set(result.cut_source_side) | {net.source}
+    cut = set(iter_bits(result.cut_source_side)) | {net.source}
     capacity = sum(
         c for (u, v, c) in net.arcs if u in cut and v not in cut
     )
@@ -60,22 +63,20 @@ def flow_is_internally_consistent(net, result):
                     reached.add(b)
                     frontier.append(b)
     assert net.sink not in reached
-    assert result.cut_source_side == reached - {net.source}
+    assert result.cut_source_side == mask_from(reached - {net.source})
     return True
 
 
 class TestDoubleCover:
     def test_k2(self, k2):
-        cover = build_double_cover(k2)
-        gp = cover.g_prime
+        gp = build_double_cover(k2)
         assert gp.n == 4
         assert all(m == Fraction(1, 4) for m in gp.measures)
         assert sorted(gp.edges()) == [(0, 3), (1, 2)]
         assert gp.labels == ("(u,A)", "(v,A)", "(u,B)", "(v,B)")
 
     def test_k3_cover_is_a_hexagon(self, k3):
-        cover = build_double_cover(k3)
-        gp = cover.g_prime
+        gp = build_double_cover(k3)
         assert gp.n == 6
         assert all(m == Fraction(1, 6) for m in gp.measures)
         assert all(gp.degree(v) == 2 for v in range(6))
@@ -91,15 +92,14 @@ class TestDoubleCover:
 
     def test_edgeless(self):
         g = WeightedGraph([Fraction(1, 3)] * 3, [])
-        cover = build_double_cover(g)
-        assert cover.g_prime.edge_count() == 0
+        assert build_double_cover(g).edge_count() == 0
 
     def test_sides_partition_and_edges_cross(self, c5):
         cover = build_double_cover(c5)
-        assert cover.side_x & cover.side_y == 0
-        assert cover.side_x | cover.side_y == cover.g_prime.full_mask
-        for u, v in cover.g_prime.edges():
-            assert (cover.side_x >> u & 1) != (cover.side_x >> v & 1)
+        assert cover.n == 2 * c5.n
+        side_a = (1 << c5.n) - 1
+        for u, v in cover.edges():
+            assert (side_a >> u & 1) != (side_a >> v & 1)
 
     def test_matches_tensor_product_with_k2(self, p3):
         k2 = WeightedGraph([HALF, HALF], [(0, 1)])
@@ -107,10 +107,10 @@ class TestDoubleCover:
         prod = tensor_product(p3, k2)
         # Cover index z / n+z corresponds to product index 2z / 2z+1.
         relabel = [2 * z for z in range(p3.n)] + [2 * z + 1 for z in range(p3.n)]
-        for u in range(cover.g_prime.n):
-            assert cover.g_prime.measures[u] == prod.measures[relabel[u]]
-            for v in range(cover.g_prime.n):
-                assert cover.g_prime.has_edge(u, v) == prod.has_edge(
+        for u in range(cover.n):
+            assert cover.measures[u] == prod.measures[relabel[u]]
+            for v in range(cover.n):
+                assert cover.has_edge(u, v) == prod.has_edge(
                     relabel[u], relabel[v]
                 )
 
@@ -133,6 +133,17 @@ class TestMaxFlow:
     def test_edgeless_zero(self):
         g = WeightedGraph([Fraction(1, 2), Fraction(1, 2)], [])
         assert cover_flow(g)[1].value == 0
+
+    def test_long_cycle_at_the_default_recursion_limit(self):
+        # Augmenting paths on the cover of a long odd cycle run thousands
+        # of arcs deep; the search must not recurse once per arc.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            value = cover_flow(cycle_graph(2001))[1].value
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == HALF
 
     def test_big_capacity_is_two(self):
         assert BIG == 2
