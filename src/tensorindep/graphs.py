@@ -10,6 +10,7 @@ ever enters the arithmetic.
 
 from __future__ import annotations
 
+import reprlib
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -18,6 +19,11 @@ from .errors import SizeCapExceeded
 
 #: Largest vertex count for which the automorphism-transitivity check runs.
 TRANSITIVITY_CAP = 16
+
+
+def _brief(q: Fraction) -> str:
+    """``q`` as p/q for a message, its middle elided like ``reprlib`` when long."""
+    return reprlib.repr(str(q))[1:-1]
 
 
 def mask_from(indices: Iterable[int]) -> int:
@@ -59,10 +65,10 @@ class WeightedGraph:
             raise ValueError("a graph needs at least one vertex to carry a probability measure")
         for i, m in enumerate(measures):
             if m < 0:
-                raise ValueError(f"vertex {i} has negative measure {m}")
+                raise ValueError(f"vertex {i} has negative measure {_brief(m)}")
         total = sum(measures)
         if total != 1:
-            raise ValueError(f"measures sum to {total}, expected 1")
+            raise ValueError(f"measures sum to {_brief(total)}, expected 1")
         if labels is None:
             labels = tuple(f"v{i}" for i in range(n))
         else:

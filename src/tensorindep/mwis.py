@@ -15,6 +15,15 @@ measure after the shift by n, so they can never outweigh a measure
 difference; among the sets of maximum measure they rank the one that
 prefers inclusion of lower-indexed vertices, vertex 0 first. The optimum then encodes both results: its
 high part is the value and its low n bits spell out the witness.
+
+``alpha_sequence`` skips the power searches when an odd cycle cover
+settles the answer. Let sigma be a permutation of the vertices with
+v ~ sigma(v), whose cycles all have odd lengths of at least 3 dividing
+an odd L, and with the measure constant on each cycle. Applied to every
+coordinate at once, sigma splits g^n into odd cycles of lengths dividing
+L that carry a constant measure, and an independent set takes at most
+(L-1)/(2L) of each, so alpha(g^n) <= (L-1)/(2L) for every n. When
+alpha(g) equals that bound, the nondecreasing sequence is constant.
 """
 
 from __future__ import annotations
@@ -33,6 +42,10 @@ MWIS_CAP = 4096
 
 # The exclude branch can recurse once per vertex; leave room at the cap.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * MWIS_CAP))
+
+# Path extensions the cycle-cover search may make before alpha_sequence
+# falls back to searching the powers; a count, so runs stay deterministic.
+_COVER_STEPS = 20_000
 
 
 def default_power_cap(vertex_count: int) -> int:
@@ -211,8 +224,59 @@ def _alpha_value(g: WeightedGraph) -> Fraction:
     return Fraction(_max_weight(g.adj, weights, g.full_mask), scale)
 
 
+def _odd_cover_settles(g: WeightedGraph, alpha: Fraction) -> bool:
+    """Whether an odd cycle cover of ``g`` proves alpha(g^n) = ``alpha`` for all n.
+
+    Requires alpha < 1/2 with L = 1/(1 - 2 alpha) an odd integer, then
+    backtracks for a cover whose cycles have lengths of at least 3
+    dividing L and a constant measure on each: every step closes a cycle
+    through the lowest free vertex, over free vertices of its measure.
+    Gives up (False) after ``_COVER_STEPS`` path extensions.
+    """
+    if alpha >= Fraction(1, 2):
+        return False
+    ratio = 1 / (1 - 2 * alpha)
+    if ratio.denominator != 1 or ratio.numerator % 2 == 0:
+        return False
+    period = ratio.numerator
+    steps = 0
+
+    def cover(free: int) -> bool:
+        if not free:
+            return True
+        start = (free & -free).bit_length() - 1
+        level = g.measures[start]
+        same = sum(1 << v for v in iter_bits(free) if g.measures[v] == level)
+        return extend(start, start, 1, free & ~(1 << start), same)
+
+    def extend(start: int, last: int, length: int, free: int, same: int) -> bool:
+        nonlocal steps
+        steps += 1
+        if steps > _COVER_STEPS:
+            return False
+        # No self-loops and an odd period: a closable length is at least 3.
+        if period % length == 0 and g.adj[last] >> start & 1 and cover(free):
+            return True
+        if length < period:
+            for v in iter_bits(g.adj[last] & free & same):
+                if extend(start, v, length + 1, free & ~(1 << v), same):
+                    return True
+        return False
+
+    return cover(g.full_mask)
+
+
 def alpha_sequence(g: WeightedGraph, n_max: int) -> AlphaSequence:
     """Exact values for g^1 .. g^n_max, stopping early at the size cap.
+
+    Power 1 is always searched. When n_max >= 2, g^2 fits in
+    ``MWIS_CAP``, alpha(g) < 1/2, L = 1/(1 - 2 alpha(g)) is an odd integer
+    and g has a cycle cover with cycle lengths of at least 3 dividing L
+    and the measure constant on each cycle, then alpha(g^n) <= (L-1)/(2L)
+    = alpha(g) for every n (module docstring), and the remaining terms are
+    alpha(g) without building or searching any power. Either way a power
+    of more than ``MWIS_CAP`` vertices ends the sequence with
+    ``truncated=True``.
 
     The sequence is checked to be nondecreasing on every run; a decrease
     would mean a bug in the search and raises immediately.
@@ -224,6 +288,9 @@ def alpha_sequence(g: WeightedGraph, n_max: int) -> AlphaSequence:
     for k in range(1, n_max + 1):
         if g.n**k > MWIS_CAP:
             return AlphaSequence(tuple(terms), True)
+        if k == 2 and _odd_cover_settles(g, terms[0]):
+            fits = default_power_cap(g.n)
+            return AlphaSequence((terms[0],) * min(n_max, fits), fits < n_max)
         power = g if power is None else tensor_product(power, g)
         value = _alpha_value(power)
         if terms and value < terms[-1]:

@@ -18,8 +18,16 @@ from tensorindep import (
     hallflow,
     interval_hom_from_json,
 )
-from tensorindep.cli import DocumentError, main, parse_graph_edgelist, parse_graph_json
+from tensorindep.cli import (
+    DocumentError,
+    load_graph,
+    main,
+    parse_graph_edgelist,
+    parse_graph_json,
+)
+from tensorindep.mwis import default_power_cap
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 P3_JSON = {
@@ -179,6 +187,21 @@ class TestAnalyze:
         assert err.startswith("error: invalid rational")
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize(
+        "measures",
+        [["1/" + "7" * 4000, "1/3"], ["-" + "9" * 4000, "1/3"]],
+        ids=["long-sum", "long-negative"],
+    )
+    def test_measure_error_echo_is_bounded(self, fixture_file, capsys, measures):
+        doc = {
+            "vertices": [{"id": f"v{i}", "measure": m} for i, m in enumerate(measures)],
+            "edges": [],
+        }
+        assert main(["analyze", fixture_file("sum.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.encode()) < 200
+
     def test_deep_json_nesting_exits_2(self, fixture_file, capsys):
         text = '{"vertices": ' + "[" * 20000 + "]" * 20000 + "}"
         assert main(["analyze", fixture_file("deep.json", text)]) == 2
@@ -198,6 +221,37 @@ class TestDefaultAnalyze:
         explicit = capsys.readouterr()
         assert default.out == explicit.out
         assert default.err == explicit.err == ""
+
+    @pytest.mark.parametrize(
+        "name, terms",
+        [
+            ("c5_cycle.txt", ["2/5"] * 5),
+            ("c7_chord.json", ["3/7"] * 4),
+            ("triangle.json", ["1/3"] * 7),
+            ("k2_uniform.json", ["1/2"] * 12),
+            (
+                "k2_biased.json",
+                ["2/3", "2/3", "20/27", "20/27", "64/81", "64/81", "1808/2187", "1808/2187"]
+                + ["16832/19683", "16832/19683", "640/729", "640/729"],
+            ),
+            ("p3_path.json", ["2/3", "2/3", "20/27", "20/27", "64/81", "64/81", "1808/2187"]),
+        ],
+    )
+    def test_default_ends_on_every_demo(self, name, terms):
+        # A subprocess with a timeout, so a hang fails the test instead of the suite.
+        path = DEMO_DATA / name
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorindep", "analyze", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        sequence = json.loads(proc.stdout)["alpha_sequence"]
+        assert len(sequence) == default_power_cap(load_graph(str(path)).n)
+        assert sequence == terms
 
     def test_max_power_zero_exits_2(self, capsys):
         path = str(DEMO_DATA / "k2_uniform.json")
@@ -383,8 +437,7 @@ class TestOneCoverOneFlow:
 def test_module_entrypoint_runs_in_subprocess(tmp_path):
     path = tmp_path / "k2.json"
     path.write_text(json.dumps(K2_JSON))
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "tensorindep", "alpha", str(path)],
         capture_output=True,

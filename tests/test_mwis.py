@@ -17,8 +17,10 @@ from tensorindep import (
     path_graph,
     star_graph,
     tensor_power,
+    tensor_product,
 )
-from tensorindep.mwis import MWIS_CAP
+from tensorindep import mwis
+from tensorindep.mwis import MWIS_CAP, _alpha_value
 
 from conftest import measured_graphs
 from oracles import all_uniform_graphs, brute_alpha, random_measured_graph
@@ -134,6 +136,87 @@ class TestAlphaSequence:
     def test_nondecreasing(self, g):
         seq = alpha_sequence(g, 3)
         assert list(seq.terms) == sorted(seq.terms)
+
+
+def _searched_terms(g: WeightedGraph, k: int) -> list[Fraction]:
+    return [_alpha_value(tensor_power(g, j)) for j in range(1, k + 1)]
+
+
+class TestOddCoverShortcut:
+    """alpha_sequence fills the powers with alpha(g) when an odd cycle cover proves it."""
+
+    def test_uniform_graphs_match_the_searched_powers(self):
+        for g in all_uniform_graphs(5):
+            assert list(alpha_sequence(g, 2).terms) == _searched_terms(g, 2)
+        for g in all_uniform_graphs(4):
+            assert list(alpha_sequence(g, 3).terms) == _searched_terms(g, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(measured_graphs(max_vertices=6))
+    def test_measured_graphs_match_the_searched_powers(self, g):
+        assert list(alpha_sequence(g, 2).terms) == _searched_terms(g, 2)
+
+    @pytest.mark.parametrize(
+        "name, k, value",
+        [("c5", 5, Fraction(2, 5)), ("k3", 7, Fraction(1, 3)), ("c7_chord", 4, Fraction(3, 7))],
+    )
+    def test_no_power_is_built(self, request, monkeypatch, name, k, value):
+        def refuse(*args):
+            raise AssertionError("tensor_product called")
+
+        monkeypatch.setattr(mwis, "tensor_product", refuse)
+        seq = alpha_sequence(request.getfixturevalue(name), k)
+        assert seq.terms == (value,) * k
+        assert not seq.truncated
+
+    def test_search_falls_back_when_the_cover_search_runs_out(self, monkeypatch, c5):
+        built = []
+
+        def counted(a, b):
+            built.append(a.n * b.n)
+            return tensor_product(a, b)
+
+        monkeypatch.setattr(mwis, "_COVER_STEPS", 2)
+        monkeypatch.setattr(mwis, "tensor_product", counted)
+        assert alpha_sequence(c5, 3).terms == (Fraction(2, 5),) * 3
+        assert built == [25, 125]
+
+    @pytest.mark.parametrize(
+        "edges, weights, terms",
+        [
+            (
+                [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 5), (3, 5)],
+                [2, 4, 2, 2, 4, 4],
+                (Fraction(4, 9), Fraction(38, 81)),
+            ),
+            (
+                [(0, 3), (0, 4), (1, 2), (1, 5), (2, 5), (3, 4), (3, 5)],
+                [3, 1, 4, 2, 2, 3],
+                (Fraction(7, 15), Fraction(109, 225)),
+            ),
+        ],
+    )
+    def test_cover_with_varying_measure_is_not_used(self, edges, weights, terms):
+        # Each graph has a cover by cycles of lengths dividing L, but the
+        # measure varies along it, so the bound does not apply.
+        g = WeightedGraph([Fraction(w, sum(weights)) for w in weights], edges)
+        assert alpha_sequence(g, 2).terms == terms
+
+    def test_cover_with_a_length_not_dividing_l_is_not_used(self):
+        # K3 at 1/5 per vertex beside C4 at 1/10: alpha = 2/5, so L = 5, and
+        # the cover by the triangle and the 4-cycle does not bound the square,
+        # whose K3 x C4 parts are bipartite.
+        g = WeightedGraph(
+            [Fraction(1, 5)] * 3 + [Fraction(1, 10)] * 4,
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)],
+        )
+        assert alpha_sequence(g, 2).terms == (Fraction(2, 5), Fraction(11, 25))
+
+    def test_truncation_still_ends_the_sequence(self):
+        # 3^8 = 6561 vertices is over MWIS_CAP, so triangle stops after 7.
+        seq = alpha_sequence(complete_graph(3), 8)
+        assert seq.terms == (Fraction(1, 3),) * 7
+        assert seq.truncated
 
 
 class TestVertexTransitiveStability:
