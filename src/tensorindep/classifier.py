@@ -6,7 +6,8 @@ descriptor:
 
 1. a violating independent set forces the limit to 1;
 2. otherwise a descriptor exists, so the limit is at most 1/2, and
-   a. any power whose independence measure reaches 1/2 settles it there,
+   a. any power whose independence measure reaches 1/2 settles it there;
+      when power 1 does, the later terms are 1/2 without a search,
    b. a bipartition settles it there as well, but fires only for graphs
       with more than ``MWIS_CAP`` vertices, whose power 1 is over the
       search cap: each side X has mu(X) <= mu(N(X)) <= mu(Y) and vice
@@ -114,7 +115,14 @@ def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
 
     # No violating set: a descriptor exists, so the limit is at most 1/2.
     descriptor = descriptor_from_flow(cover, flow)
-    seq: AlphaSequence = alpha_sequence(g, n_max)
+    # Every power is at most 1/2 now and the sequence is nondecreasing, so
+    # once power 1 reaches 1/2 every term does: fill them, building no power.
+    seq: AlphaSequence = alpha_sequence(g, 1)
+    if seq.terms == (HALF,):
+        fits = default_power_cap(g.n)
+        seq = AlphaSequence((HALF,) * min(n_max, fits), fits < n_max)
+    elif n_max > 1:
+        seq = alpha_sequence(g, n_max)
     notes: list[str] = []
     if seq.truncated:
         notes.append(f"alpha sequence truncated after {len(seq.terms)} of {n_max} powers")

@@ -3,9 +3,29 @@
 The optimizer is a branch-and-bound search on bitset graphs: absorb
 isolated vertices, split connected components (tensor powers of sparse
 graphs shatter into many), branch on a maximum-degree vertex, and prune
-with a greedy clique-cover bound. The measures are rescaled once to a
-common denominator, so the whole search runs on arbitrary-precision
-integers and the optimum is exact.
+with a greedy clique-cover bound. A candidate set of maximum degree 2 is
+a union of paths and cycles and is solved by dynamic programming instead
+of branching. The measures are rescaled once to a common denominator, so
+the whole search runs on arbitrary-precision integers and the optimum is
+exact.
+
+On a triangle-free graph the clique cover is a cover by edges and cannot
+bound below about half the weight, while an odd cycle of length L holds
+at most (L-1)/2 of its L vertices. So each component with an odd cycle
+is split greedily into vertex-disjoint shortest odd cycles of length at
+least 5 and a rest (triangles go to the rest, where the clique cover
+already bounds them). An independent set meets each cycle in an
+independent set of that cycle and the rest in at most one vertex per
+clique, so the exact cycle DP of each part plus the clique cover of the
+rest bounds the component from above, for any measure. When that bound
+is at most the greedy incumbent, the incumbent is optimal and the
+component needs no search: on C5^3 and C5^4 the split finds the diagonal
+5-cycles, whose bound is the optimum 2/5. The bound is taken once, at
+the root: tried at every node it pruned few of them and slowed the
+search down, on weighted powers of C5 and on relabeled C5^3 as well.
+Bipartite components have no odd cycle; the component walk already
+reports an edge inside one of its layers, so they skip the split at no
+extra cost.
 
 The optimum value is independent of search order. The reported witness
 is canonical as well, and comes from the same single search: vertex v's
@@ -32,6 +52,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import SizeCapExceeded
 from .graphs import WeightedGraph, is_independent, iter_bits
@@ -90,16 +111,24 @@ def _greedy(adj: tuple[int, ...], weights: list[int], mask: int) -> int:
     return total
 
 
-def _component_of(adj: tuple[int, ...], mask: int, start_bit: int) -> int:
+def _component_of(adj: tuple[int, ...], mask: int, start_bit: int) -> tuple[int, bool]:
+    """The component of ``mask`` holding ``start_bit``, and whether it has an odd cycle.
+
+    The walk goes layer by layer from the start; a component has an odd
+    cycle exactly when some edge joins two vertices of one layer.
+    """
     comp = start_bit
     frontier = start_bit
+    odd = False
     while frontier:
         grown = 0
         for v in iter_bits(frontier):
             grown |= adj[v]
+        if grown & frontier:
+            odd = True
         frontier = grown & mask & ~comp
         comp |= frontier
-    return comp
+    return comp, odd
 
 
 def _max_weight(adj: tuple[int, ...], weights: list[int], mask: int) -> int:
@@ -117,9 +146,9 @@ def _max_weight(adj: tuple[int, ...], weights: list[int], mask: int) -> int:
         else:
             total += weights[v]
     while live:
-        comp = _component_of(adj, live, live & -live)
+        comp, odd = _component_of(adj, live, live & -live)
         live &= ~comp
-        total += _branch_and_bound(adj, weights, comp)
+        total += _branch_and_bound(adj, weights, comp, odd)
     return total
 
 
@@ -146,8 +175,129 @@ def _cover_bound(adj: tuple[int, ...], weights: list[int], cand: int) -> int:
     return bound
 
 
-def _branch_and_bound(adj: tuple[int, ...], weights: list[int], comp: int) -> int:
+def _chain_max(weights: list[int], chain: Sequence[int]) -> int:
+    """Maximum weight of an independent set of the path ``chain``."""
+    take = skip = 0
+    for v in chain:
+        take, skip = skip + weights[v], take if take > skip else skip
+    return take if take > skip else skip
+
+
+def _cycle_max(weights: list[int], cycle: Sequence[int]) -> int:
+    """Maximum weight of an independent set of the cycle ``cycle``.
+
+    Either the first vertex stays out and the rest is a path, or it is in
+    and so are neither of its two neighbors on the cycle.
+    """
+    return max(
+        _chain_max(weights, cycle[1:]),
+        weights[cycle[0]] + _chain_max(weights, cycle[2:-1]),
+    )
+
+
+def _paths_and_cycles_max(adj: tuple[int, ...], weights: list[int], cand: int) -> int:
+    """Exact optimum of ``cand`` when every vertex has one or two neighbors in it.
+
+    Such a set falls apart into paths and cycles: each path is walked from
+    an end, then what is left are cycles, walked from any vertex.
+    """
+    ends = 0
+    for v in iter_bits(cand):
+        if (adj[v] & cand).bit_count() == 1:
+            ends |= 1 << v
+    total = 0
+    left = cand
+    while left:
+        start = ends & left or left
+        v = (start & -start).bit_length() - 1
+        order = []
+        while True:
+            order.append(v)
+            left &= ~(1 << v)
+            step = adj[v] & left
+            if not step:
+                break
+            v = (step & -step).bit_length() - 1
+        if ends >> order[0] & 1:
+            total += _chain_max(weights, order)
+        else:
+            total += _cycle_max(weights, order)
+    return total
+
+
+def _odd_cycle_parts(adj: tuple[int, ...], comp: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Vertex-disjoint odd cycles of length at least 5 inside ``comp``, as (mask, cycle).
+
+    Greedy: from the lowest free vertex, a breadth-first walk inside the
+    free vertices stops at the first layer with an inner edge u-w; the
+    walks back from u and w along lowest-indexed parents meet, and close
+    a shortest odd cycle. A triangle is dropped, as the clique cover
+    already bounds it; a walk that finds no inner edge has traversed a
+    bipartite piece, which is dropped whole.
+    """
+    parts = []
+    free = comp
+    while free:
+        start = free & -free
+        layers = [start]
+        seen = start
+        u = -1
+        while u < 0:
+            frontier = layers[-1]
+            grown = 0
+            for v in iter_bits(frontier):
+                if adj[v] & frontier:
+                    u = v
+                    break
+                grown |= adj[v]
+            else:
+                grown &= free & ~seen
+                if not grown:
+                    break
+                layers.append(grown)
+                seen |= grown
+        if u < 0:
+            free &= ~seen
+            continue
+        inner = adj[u] & frontier
+        w = (inner & -inner).bit_length() - 1
+        left, right = [u], [w]
+        for layer in reversed(layers[:-1]):
+            x = adj[left[-1]] & layer
+            y = adj[right[-1]] & layer
+            x = (x & -x).bit_length() - 1
+            y = (y & -y).bit_length() - 1
+            left.append(x)
+            if x == y:
+                break
+            right.append(y)
+        cycle = tuple(reversed(left)) + tuple(right)
+        mask = sum(1 << v for v in cycle)
+        free &= ~mask
+        if len(cycle) >= 5:
+            parts.append((mask, cycle))
+    return parts
+
+
+def _partition_bound(
+    adj: tuple[int, ...], weights: list[int], parts: list[tuple[int, tuple[int, ...]]], comp: int
+) -> int:
+    # An independent set of comp meets each cycle of ``parts`` in an
+    # independent set of that cycle, and the rest in one per clique.
+    rest = comp
+    bound = 0
+    for mask, cycle in parts:
+        rest &= ~mask
+        bound += _cycle_max(weights, cycle)
+    return bound + _cover_bound(adj, weights, rest)
+
+
+def _branch_and_bound(adj: tuple[int, ...], weights: list[int], comp: int, odd: bool) -> int:
     best = _greedy(adj, weights, comp)
+    if odd:
+        parts = _odd_cycle_parts(adj, comp)
+        if parts and _partition_bound(adj, weights, parts, comp) <= best:
+            return best
 
     def search(cand: int, current: int) -> None:
         nonlocal best
@@ -179,9 +329,14 @@ def _branch_and_bound(adj: tuple[int, ...], weights: list[int], comp: int) -> in
                 best = current
         if current + _cover_bound(adj, weights, cand) <= best:
             return
+        if pivot_degree <= 2:
+            current += _paths_and_cycles_max(adj, weights, cand)
+            if current > best:
+                best = current
+            return
         # Detached parts are strictly smaller subproblems; solve them
         # exactly and keep branching on the pivot's component.
-        piece = _component_of(adj, cand, 1 << pivot)
+        piece, _ = _component_of(adj, cand, 1 << pivot)
         if piece != cand:
             current += _max_weight(adj, weights, cand & ~piece)
             if current > best:

@@ -92,11 +92,18 @@ def all_uniform_graphs(max_vertices: int):
 
 
 def random_measured_graph(
-    rng: random.Random, max_vertices: int, max_weight: int = 6, min_vertices: int = 1
+    rng: random.Random,
+    max_vertices: int,
+    max_weight: int = 6,
+    min_vertices: int = 1,
+    density: float = 0.5,
 ) -> WeightedGraph:
-    """Random graph with a random rational measure (zero weights allowed)."""
+    """Random graph with a random rational measure (zero weights allowed).
+
+    Each pair of vertices is an edge with probability ``density``.
+    """
     n = rng.randint(min_vertices, max_vertices)
-    edges = [p for p in combinations(range(n), 2) if rng.random() < 0.5]
+    edges = [p for p in combinations(range(n), 2) if rng.random() < density]
     weights = [rng.randint(0, max_weight) for _ in range(n)]
     if sum(weights) == 0:
         weights[rng.randrange(n)] = 1

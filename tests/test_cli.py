@@ -50,6 +50,27 @@ BAD_SUM_JSON = {
 }
 
 
+WEIGHTED_C5 = (
+    "v c0 3/10\nv c1 2/10\nv c2 2/10\nv c3 2/10\nv c4 1/10\n"
+    "e c0 c1\ne c1 c2\ne c2 c3\ne c3 c4\ne c4 c0\n"
+)
+
+WEIGHTED_C5_POWER_3_TEXT = """\
+graph: 5 vertices, 5 edges
+  c0: 3/10
+  c1: 1/5
+  c2: 1/5
+  c3: 1/5
+  c4: 1/10
+alpha sequence: 1/2, 1/2, 1/2
+condition: fails (no set outweighs its neighborhood)
+verdict: ExactHalf value=1/2 rule=alpha-reaches-half+descriptor
+upper bound: 1/2
+descriptor: 12 interval pieces
+timing: null
+"""
+
+
 @pytest.fixture
 def fixture_file(tmp_path):
     def write(name: str, payload) -> str:
@@ -253,6 +274,26 @@ class TestDefaultAnalyze:
         assert len(sequence) == default_power_cap(load_graph(str(path)).n)
         assert sequence == terms
 
+    def test_half_at_power_one_fills_the_rest(self, fixture_file, capsys):
+        # alpha = 3/10 + 2/10 = 1/2 and no set outweighs its neighborhood, so
+        # every power is 1/2; before the fill, powers 4 and 5 were searched
+        # and the default run did not end within a minute.
+        path = fixture_file("wc5.txt", WEIGHTED_C5)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorindep", "analyze", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["alpha_sequence"] == ["1/2"] * 5
+        assert report["verdict"]["kind"] == "ExactHalf"
+        assert main(["analyze", path, "--max-power", "3", "--format", "text"]) == 0
+        assert capsys.readouterr().out == WEIGHTED_C5_POWER_3_TEXT
+
     def test_max_power_zero_exits_2(self, capsys):
         path = str(DEMO_DATA / "k2_uniform.json")
         assert main(["analyze", path, "--max-power", "0"]) == 2
@@ -288,6 +329,24 @@ class TestAlphaCommand:
         labels = out[1].removeprefix("witness: ").split()
         assert len(set(labels)) == len(labels) == 2048
         assert all(label.startswith("(u,") for label in labels)
+
+    def test_c5_power_4_finishes(self):
+        # 625 vertices: the odd-cycle bound closes the search at once, where
+        # the clique cover alone ran for minutes.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorindep", "alpha", str(DEMO_DATA / "c5_cycle.txt"),
+             "--power", "4"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        value, witness = proc.stdout.splitlines()
+        assert value == "2/5"
+        labels = witness.removeprefix("witness: ").split()
+        assert len(set(labels)) == len(labels) == 250
 
     def test_over_cap_exits_3(self, fixture_file, capsys):
         doc = {

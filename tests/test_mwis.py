@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tensorindep import (
     alpha_bar,
     alpha_sequence,
     complete_graph,
+    cycle_graph,
     is_independent,
     mask_from,
     measure_of,
@@ -23,7 +25,7 @@ from tensorindep import mwis
 from tensorindep.mwis import MWIS_CAP, _alpha_value
 
 from conftest import measured_graphs
-from oracles import all_uniform_graphs, brute_alpha, random_measured_graph
+from oracles import all_uniform_graphs, brute_alpha, brute_alpha_value_int, random_measured_graph
 
 
 class TestAlphaBar:
@@ -96,8 +98,6 @@ class TestAlphaBar:
 
     def test_matches_integer_brute_force_at_sixteen_vertices(self, rng):
         import math
-
-        from oracles import brute_alpha_value_int
 
         for _ in range(5):
             g = random_measured_graph(rng, 16)
@@ -217,6 +217,107 @@ class TestOddCoverShortcut:
         seq = alpha_sequence(complete_graph(3), 8)
         assert seq.terms == (Fraction(1, 3),) * 7
         assert seq.truncated
+
+
+def _plain_path_dp(weights: list[int]) -> int:
+    take = skip = 0
+    for w in weights:
+        take, skip = skip + w, max(take, skip)
+    return max(take, skip)
+
+
+def _plain_cycle_dp(weights: list[int]) -> int:
+    return max(_plain_path_dp(weights[1:]), weights[0] + _plain_path_dp(weights[2:-1]))
+
+
+def _chain_graph(weights: list[int], closed: bool) -> WeightedGraph:
+    n = len(weights)
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+    return WeightedGraph([Fraction(w, sum(weights)) for w in weights], edges)
+
+
+class TestPathsAndCycles:
+    """Sets of maximum degree 2 are solved by a path or cycle DP, not by branching."""
+
+    @pytest.mark.parametrize("n, closed", [(300, False), (301, True)])
+    def test_long_chain_is_fast_and_exact(self, n, closed):
+        weights = [1 + i % 7 for i in range(n)]
+        g = _chain_graph(weights, closed)
+        start = time.perf_counter()
+        value = _alpha_value(g)
+        assert time.perf_counter() - start < 1
+        expected = _plain_cycle_dp(weights) if closed else _plain_path_dp(weights)
+        assert value == Fraction(expected, sum(weights))
+
+    def test_short_chains_match_brute_force(self, rng):
+        for n in range(2, 17):
+            for closed in (False, True) if n >= 3 else (False,):
+                weights = [rng.randint(0, 9) for _ in range(n)]
+                weights[0] += 1
+                g = _chain_graph(weights, closed)
+                brute = brute_alpha_value_int(list(g.adj), weights)
+                expected = _plain_cycle_dp(weights) if closed else _plain_path_dp(weights)
+                assert brute == expected
+                assert _alpha_value(g) == Fraction(expected, sum(weights))
+                result = alpha_bar(g)
+                assert (result.value, result.witness) == brute_alpha(g)
+
+
+def _induced(adj: list[int], weights: list[int], cand: int) -> tuple[list[int], list[int]]:
+    keep = [v for v in range(len(adj)) if cand >> v & 1]
+    index = {v: i for i, v in enumerate(keep)}
+    sub = [sum(1 << index[u] for u in keep if adj[v] >> u & 1) for v in keep]
+    return sub, [weights[v] for v in keep]
+
+
+class TestOddCyclePartitionBound:
+    """The odd-cycle partition bound never falls below the optimum of the candidates."""
+
+    @staticmethod
+    def corpus(rng):
+        for g in all_uniform_graphs(4):
+            yield tensor_power(g, 2)
+        for _ in range(50):
+            yield random_measured_graph(rng, 12)
+        # Sparse graphs and odd cycles keep cycles of length 5 and more
+        # once the triangles are taken out.
+        for _ in range(50):
+            yield random_measured_graph(rng, 16, min_vertices=8, density=0.2)
+        yield from (tensor_power(cycle_graph(5), 2), cycle_graph(7), cycle_graph(9))
+
+    def test_parts_are_disjoint_odd_cycles_of_the_graph(self, rng):
+        for g in self.corpus(rng):
+            covered = 0
+            for mask, cycle in mwis._odd_cycle_parts(g.adj, g.full_mask):
+                assert len(cycle) >= 5 and len(cycle) % 2 == 1
+                assert mask == mask_from(cycle) and mask.bit_count() == len(cycle)
+                assert not covered & mask
+                covered |= mask
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert g.has_edge(a, b)
+
+    def test_bound_is_at_least_the_brute_force_optimum(self, rng):
+        # The search splits the set it is handed, so the split is taken on
+        # each random candidate set, as it would be on a component.
+        parts_seen = 0
+        for g in self.corpus(rng):
+            weights, _ = mwis._int_weights(g)
+            ranked = [w << g.n | 1 << (g.n - 1 - v) for v, w in enumerate(weights)]
+            cands = [rng.getrandbits(g.n) for _ in range(20)]
+            for cand in cands + [g.full_mask] * (g.n <= 12):
+                parts = mwis._odd_cycle_parts(g.adj, cand)
+                parts_seen += len(parts)
+                for w in (weights, ranked):
+                    bound = mwis._partition_bound(g.adj, w, parts, cand)
+                    assert bound >= brute_alpha_value_int(*_induced(list(g.adj), w, cand))
+                    for mask, cycle in parts:
+                        ring = [0] * g.n
+                        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                            ring[a] |= 1 << b
+                            ring[b] |= 1 << a
+                        exact = brute_alpha_value_int(*_induced(ring, w, mask))
+                        assert mwis._cycle_max(w, cycle) == exact
+        assert parts_seen > 0
 
 
 class TestVertexTransitiveStability:
