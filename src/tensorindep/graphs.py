@@ -10,6 +10,7 @@ ever enters the arithmetic.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from collections import deque
 from fractions import Fraction
@@ -169,7 +170,15 @@ def neighborhood(g: WeightedGraph, s: int) -> int:
 def measure_of(g: WeightedGraph, s: int) -> Fraction:
     """Exact total measure of the vertex set ``s``."""
     _check_subset(g, s)
-    return sum((g.measures[v] for v in iter_bits(s)), Fraction(0))
+    numerators, den = _integer_measures([g.measures[v] for v in iter_bits(s)])
+    return Fraction(sum(numerators), den)
+
+
+def _integer_measures(measures: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``measures`` as integer numerators over their least common denominator."""
+    ratios = [m.as_integer_ratio() for m in measures]
+    den = math.lcm(*{d for _, d in ratios})
+    return [n * (den // d) for n, d in ratios], den
 
 
 def is_independent(g: WeightedGraph, s: int) -> bool:
@@ -259,7 +268,9 @@ def _automorphism_onto(g: WeightedGraph, order: list[int], target: int) -> bool:
     if degree[target] != degree[v0]:
         return False
     image[v0] = target
-    return extend(1, 1 << target)
+    found = extend(1, 1 << target)
+    del extend  # extend refers to itself; free it without the collector
+    return found
 
 
 def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:

@@ -48,14 +48,13 @@ alpha(g) equals that bound, the nondecreasing sequence is constant.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, is_independent, iter_bits
+from .graphs import WeightedGraph, _integer_measures, is_independent, iter_bits
 from .tensor import tensor_product
 
 #: Largest vertex count the independent-set search accepts.
@@ -93,11 +92,6 @@ class AlphaSequence:
 
     terms: tuple[Fraction, ...]
     truncated: bool
-
-
-def _int_weights(g: WeightedGraph) -> tuple[list[int], int]:
-    scale = math.lcm(*(m.denominator for m in g.measures))
-    return [int(m * scale) for m in g.measures], scale
 
 
 def _greedy(adj: tuple[int, ...], weights: list[int], mask: int) -> int:
@@ -346,6 +340,9 @@ def _branch_and_bound(adj: tuple[int, ...], weights: list[int], comp: int, odd: 
         search(cand & ~(1 << pivot), current)
 
     search(comp, 0)
+    # search refers to itself through its closure; dropping the name frees
+    # it, and the power's rows it holds, without waiting for the collector.
+    del search
     return best
 
 
@@ -361,7 +358,7 @@ def alpha_bar(g: WeightedGraph) -> AlphaResult:
     if g.n > MWIS_CAP:
         raise SizeCapExceeded(f"search too large: {g.n} vertices exceeds cap {MWIS_CAP}")
     n = g.n
-    weights, scale = _int_weights(g)
+    weights, scale = _integer_measures(g.measures)
     ranked = [w << n | 1 << (n - 1 - v) for v, w in enumerate(weights)]
     best = _max_weight(g.adj, ranked, g.full_mask)
     value = best >> n
@@ -375,7 +372,7 @@ def alpha_bar(g: WeightedGraph) -> AlphaResult:
 
 
 def _alpha_value(g: WeightedGraph) -> Fraction:
-    weights, scale = _int_weights(g)
+    weights, scale = _integer_measures(g.measures)
     return Fraction(_max_weight(g.adj, weights, g.full_mask), scale)
 
 
@@ -418,7 +415,9 @@ def _odd_cover_settles(g: WeightedGraph, alpha: Fraction) -> bool:
                     return True
         return False
 
-    return cover(g.full_mask)
+    settled = cover(g.full_mask)
+    del cover, extend  # the closures refer to each other; free them now
+    return settled
 
 
 def alpha_sequence(g: WeightedGraph, n_max: int) -> AlphaSequence:
@@ -446,7 +445,8 @@ def alpha_sequence(g: WeightedGraph, n_max: int) -> AlphaSequence:
         if k == 2 and _odd_cover_settles(g, terms[0]):
             fits = default_power_cap(g.n)
             return AlphaSequence((terms[0],) * min(n_max, fits), fits < n_max)
-        power = g if power is None else tensor_product(power, g)
+        # The base first is the cheap factor order (see tensor_product).
+        power = g if power is None else tensor_product(g, power)
         value = _alpha_value(power)
         if terms and value < terms[-1]:
             raise AssertionError(

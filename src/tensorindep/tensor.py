@@ -7,44 +7,94 @@ encoding with the most significant coordinate first, so the n-th power
 of a graph on m vertices puts (c_0, ..., c_{n-1}) at index
 c_0 * m^(n-1) + ... + c_{n-1}. That makes coordinate projections plain
 index arithmetic and keeps every construction deterministic.
+
+Adjacency rows are ``int`` bitmasks, and the product's row (gi, hj) is
+``h``'s row hj copied into the block of h.n bits of every neighbour of
+gi. The cheap factor order puts the smaller graph first: each row is
+then the OR of deg(gi) shifted copies of one row of ``h``, so a power is
+built base first, as g x g^(n-1). With the larger factor first, those
+shifts would be one per neighbour of a long row, so the row of gi is
+instead spread to one bit per block in a single ``bin``/``int`` round
+trip (its binary digits read in base 2**k, for the largest k <= 5
+dividing h.n) and multiplied by ``h``'s row. That costs a string of
+g.n * h.n / k digits per row of ``g`` and no loop over its bits; when
+h.n is at most 5, k = h.n and the string is ``bin`` of the row itself.
+
+Product measures are integer numerators over one common denominator,
+and each distinct value becomes a ``Fraction`` once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, iter_bits
+from .graphs import WeightedGraph, _integer_measures, iter_bits
 
 #: Largest vertex count a product or power will materialize.
 MATERIALIZATION_CAP = 10**6
 
 
 def tensor_product(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
-    """Tensor product with vertices ordered lexicographically by (g, h) index."""
+    """Tensor product with vertices ordered lexicographically by (g, h) index.
+
+    Both argument orders give the same graph up to the order of the
+    coordinates. The cheap order puts the smaller factor first: each row
+    is then deg(gi) shifts of a row of ``h`` (module docstring).
+    """
     n = g.n * h.n
     if n > MATERIALIZATION_CAP:
         raise SizeCapExceeded(
             f"power too large: {n} vertices exceeds cap {MATERIALIZATION_CAP}"
         )
-    labels = []
-    measures = []
-    adj = []
-    for gi in range(g.n):
-        # Bit gj of g.adj[gi] becomes a block of h.n bits at offset gj * h.n;
-        # the blocks are disjoint, so the multiplication below cannot carry.
-        spread = 0
-        for gj in iter_bits(g.adj[gi]):
-            spread |= 1 << (gj * h.n)
-        g_label = g.labels[gi]
-        g_measure = g.measures[gi]
-        for hj in range(h.n):
-            labels.append(f"({g_label},{h.labels[hj]})")
-            measures.append(g_measure * h.measures[hj])
-            adj.append(spread * h.adj[hj])
-    return WeightedGraph._from_parts(tuple(labels), tuple(measures), tuple(adj))
+    g_num, g_den = _integer_measures(g.measures)
+    h_num, h_den = _integer_measures(h.measures)
+    measures = _fractions([a * b for a in g_num for b in h_num], g_den * h_den)
+    labels = tuple([f"({a},{b})" for a in g.labels for b in h.labels])
+    return WeightedGraph._from_parts(labels, measures, tuple(_rows(g.adj, h.adj)))
+
+
+def _rows(g_adj: Sequence[int], h_adj: Sequence[int]) -> list[int]:
+    """Adjacency rows of the product of graphs with rows ``g_adj`` and ``h_adj``.
+
+    Row (gi, hj) holds ``h_adj[hj]`` in the block of every neighbour gj
+    of gi, the block of gj being bits gj * len(h_adj) onwards; the module
+    docstring says which of the two ways below suits which factor order.
+    The binary digits of gi's row, read in base 2**k with block / k - 1
+    zero digits joined between them, put one bit at the start of each
+    neighbour's block, and a row of ``h`` fits inside a block, so their
+    product does not carry.
+    """
+    block = len(h_adj)
+    adj: list[int] = []
+    if len(g_adj) <= block:
+        for row in g_adj:
+            # In place, so each replaced row is freed at once.
+            rows = [0] * block
+            for gj in iter_bits(row):
+                shift = gj * block
+                for hj, s in enumerate(h_adj):
+                    rows[hj] |= s << shift
+            adj.extend(rows)
+    else:
+        # int() reads up to base 36, so take the largest k <= 5 dividing
+        # the block: read in base 2**k, digit gj lands on bit gj * k.
+        k = max(d for d in range(1, 6) if block % d == 0)
+        pad = "0" * (block // k - 1)
+        for row in g_adj:
+            digits = bin(row)[2:]
+            spread = int(pad.join(digits) if pad else digits, 2**k)
+            adj.extend([spread * s for s in h_adj])
+    return adj
+
+
+def _fractions(numerators: list[int], den: int) -> tuple[Fraction, ...]:
+    # One Fraction per distinct value, shared by every vertex that carries it.
+    fraction = {q: Fraction(q, den) for q in set(numerators)}
+    return tuple(map(fraction.__getitem__, numerators))
 
 
 @dataclass(frozen=True)
@@ -106,11 +156,11 @@ def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
         return g
     power = g
     for _ in range(n - 1):
-        power = tensor_product(power, g)
+        power = tensor_product(g, power)
     # Flatten the nested product labels into one coordinate tuple; product()
     # enumerates the tuples in the same mixed-radix order as the indices.
     labels = tuple("(" + ",".join(t) + ")" for t in product(g.labels, repeat=n))
-    return power.relabeled(labels)
+    return WeightedGraph._from_parts(labels, power.measures, power.adj)
 
 
 def projection_hom(view: TensorPowerView, keep: Iterable[int]) -> list[int]:

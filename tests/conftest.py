@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -60,3 +61,14 @@ def measured_graphs(draw, max_vertices: int = 5, allow_zero_measure: bool = True
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA11CE)
+
+
+def cyclic_garbage(run) -> int:
+    """Objects that only the cycle collector frees after ``run()``."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -22,7 +22,7 @@ from tensorindep import (
     star_graph,
 )
 
-from conftest import measured_graphs
+from conftest import cyclic_garbage, measured_graphs
 
 
 class TestConstruction:
@@ -90,6 +90,12 @@ class TestMeasure:
         s = data.draw(st.integers(0, g.full_mask))
         t = data.draw(st.integers(0, g.full_mask)) & ~s
         assert measure_of(g, s | t) == measure_of(g, s) + measure_of(g, t)
+
+    @given(measured_graphs(max_vertices=8), st.data())
+    def test_equals_the_sum_of_fractions(self, g, data):
+        s = data.draw(st.integers(0, g.full_mask))
+        expected = sum((g.measures[v] for v in range(g.n) if s >> v & 1), Fraction(0))
+        assert measure_of(g, s) == expected
 
 
 class TestIndependence:
@@ -159,6 +165,9 @@ class TestVertexTransitivity:
     def test_triangle_plus_edge_not_transitive(self):
         g = WeightedGraph([Fraction(1, 5)] * 5, [(0, 1), (1, 2), (0, 2), (3, 4)])
         assert is_vertex_transitive_uniform(g) is False
+
+    def test_search_leaves_no_cyclic_garbage(self, c5):
+        assert cyclic_garbage(lambda: is_vertex_transitive_uniform(c5)) == 0
 
     def test_cap_signal(self):
         g = cycle_graph(17)

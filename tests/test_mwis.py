@@ -22,9 +22,10 @@ from tensorindep import (
     tensor_product,
 )
 from tensorindep import mwis
+from tensorindep.graphs import _integer_measures
 from tensorindep.mwis import MWIS_CAP, _alpha_value
 
-from conftest import measured_graphs
+from conftest import cyclic_garbage, measured_graphs
 from oracles import all_uniform_graphs, brute_alpha, brute_alpha_value_int, random_measured_graph
 
 
@@ -130,6 +131,18 @@ class TestAlphaSequence:
     def test_invalid_n(self, c5):
         with pytest.raises(ValueError):
             alpha_sequence(c5, 0)
+
+    def test_searches_leave_no_cyclic_garbage(self, k2_biased, c5, p3):
+        # Each search frees its closures, and the power rows they hold, on
+        # return rather than at the next run of the cycle collector.
+        p3_fifth = tensor_power(p3, 5)
+
+        def run():
+            alpha_sequence(k2_biased, 12)
+            alpha_sequence(c5, 3)
+            alpha_bar(p3_fifth)
+
+        assert cyclic_garbage(run) == 0
 
     @settings(max_examples=20, deadline=None)
     @given(measured_graphs(max_vertices=4))
@@ -301,7 +314,7 @@ class TestOddCyclePartitionBound:
         # each random candidate set, as it would be on a component.
         parts_seen = 0
         for g in self.corpus(rng):
-            weights, _ = mwis._int_weights(g)
+            weights, _ = _integer_measures(g.measures)
             ranked = [w << g.n | 1 << (g.n - 1 - v) for v, w in enumerate(weights)]
             cands = [rng.getrandbits(g.n) for _ in range(20)]
             for cand in cands + [g.full_mask] * (g.n <= 12):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,12 @@ from tensorindep import (
     SizeCapExceeded,
     TensorPowerView,
     WeightedGraph,
+    alpha_sequence,
+    cycle_graph,
     is_independent,
     mask_from,
     measure_of,
+    path_graph,
     power_adjacent,
     projection_hom,
     tensor_power,
@@ -22,6 +26,20 @@ from tensorindep import (
 
 from conftest import measured_graphs
 from oracles import brute_alpha
+
+
+def _assert_pairwise_product(g: WeightedGraph, h: WeightedGraph) -> None:
+    """tensor_product(g, h) against the definition, one vertex pair at a time."""
+    prod = tensor_product(g, h)
+    assert prod.labels == tuple(f"({a},{b})" for a in g.labels for b in h.labels)
+    for gi, hj in product(range(g.n), range(h.n)):
+        u = gi * h.n + hj
+        assert prod.measures[u] == g.measures[gi] * h.measures[hj]
+        row = 0
+        for gk, hl in product(range(g.n), range(h.n)):
+            if g.has_edge(gi, gk) and h.has_edge(hj, hl):
+                row |= 1 << (gk * h.n + hl)
+        assert prod.adj[u] == row
 
 
 class TestTensorProduct:
@@ -60,6 +78,29 @@ class TestTensorProduct:
                     for hl in range(h.n):
                         expected = g.has_edge(gi, gk) and h.has_edge(hj, hl)
                         assert prod.has_edge(gi * h.n + hj, gk * h.n + hl) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(measured_graphs(max_vertices=6), measured_graphs(max_vertices=6))
+    def test_pairwise_definition_in_both_orders(self, g, h):
+        # The smaller factor first and the larger factor first build the
+        # rows in two different ways; both must match the definition.
+        _assert_pairwise_product(g, h)
+        _assert_pairwise_product(h, g)
+
+    def test_one_vertex_and_zero_measure_factors(self, p3):
+        one = WeightedGraph([Fraction(1)], [])
+        zero = WeightedGraph([Fraction(0), Fraction(1), Fraction(0)], [(0, 1), (1, 2)])
+        for g, h in [(one, one), (one, p3), (p3, one), (zero, p3), (p3, zero), (zero, one)]:
+            _assert_pairwise_product(g, h)
+
+    @pytest.mark.parametrize("block", range(1, 11))
+    def test_larger_factor_first_for_every_block_size(self, rng, block):
+        # The spread row is read in base 2**k for the largest k <= 5
+        # dividing the block, with block / k - 1 zero digits between digits.
+        pairs = [(i, j) for i in range(11) for j in range(i + 1, 11)]
+        g = WeightedGraph([Fraction(1, 11)] * 11, rng.sample(pairs, 25))
+        h = path_graph(block) if block < 3 else cycle_graph(block)
+        _assert_pairwise_product(g, h)
 
     @given(measured_graphs(max_vertices=4), measured_graphs(max_vertices=4))
     def test_commutative_up_to_coordinate_swap(self, g, h):
@@ -110,6 +151,15 @@ class TestTensorPower:
         iterated = tensor_product(p3, p3)
         assert direct.measures == iterated.measures
         assert direct.adj == iterated.adj
+
+    @settings(max_examples=60, deadline=None)
+    @given(measured_graphs(max_vertices=4), st.integers(2, 4))
+    def test_equals_the_larger_factor_first_product(self, g, k):
+        power = tensor_power(g, k)
+        iterated = tensor_product(tensor_power(g, k - 1), g)
+        labels = tuple("(" + ",".join(t) + ")" for t in product(g.labels, repeat=k))
+        assert power.labels == labels
+        assert power == iterated.relabeled(labels)
 
     def test_invalid_power(self, k2):
         with pytest.raises(ValueError):
@@ -199,3 +249,60 @@ def test_preimage_of_independent_set_is_independent(c5):
     preimage = mask_from(v for v in range(power.n) if base_set >> mapping[v] & 1)
     assert is_independent(power, preimage)
     assert measure_of(power, preimage) == measure_of(c5, base_set)
+
+
+# alpha_sequence builds each power as a product with the base; these terms
+# were computed when the powers were still built with the base last.
+SEQUENCE_CORPUS = [
+    (
+        WeightedGraph([Fraction(2, 3), Fraction(1, 3)], [(0, 1)]),
+        12,
+        ["2/3", "2/3", "20/27", "20/27", "64/81", "64/81", "1808/2187", "1808/2187",
+         "16832/19683", "16832/19683", "640/729", "640/729"],
+    ),
+    (path_graph(3), 7, ["2/3", "2/3", "20/27", "20/27", "64/81", "64/81", "1808/2187"]),
+    (
+        WeightedGraph(
+            [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
+            [(0, 1), (0, 2), (0, 3)],
+        ),
+        5,
+        ["1/2"] * 5,
+    ),
+    (
+        WeightedGraph(
+            [Fraction(1, 10), Fraction(2, 5), Fraction(3, 10), Fraction(1, 5)],
+            [(0, 1), (1, 2), (2, 3)],
+        ),
+        5,
+        ["3/5", "3/5", "81/125", "81/125", "2133/3125"],
+    ),
+    (
+        WeightedGraph(
+            [Fraction(1, 6), Fraction(1, 3), Fraction(1, 6), Fraction(1, 3)],
+            [(0, 1), (1, 2), (2, 3), (0, 3)],
+        ),
+        5,
+        ["2/3", "2/3", "20/27", "20/27", "64/81"],
+    ),
+    (
+        WeightedGraph([Fraction(1, 5)] * 5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)]),
+        3,
+        ["3/5", "3/5", "81/125"],
+    ),
+    (
+        WeightedGraph(
+            [Fraction(1, 5)] * 3 + [Fraction(1, 10)] * 4,
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)],
+        ),
+        3,
+        ["2/5", "11/25", "58/125"],
+    ),
+]
+
+
+@pytest.mark.parametrize("g, n_max, terms", SEQUENCE_CORPUS)
+def test_alpha_sequence_terms_are_pinned(g, n_max, terms):
+    seq = alpha_sequence(g, n_max)
+    assert [str(t) for t in seq.terms] == terms
+    assert not seq.truncated
