@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import SaturationRequired
-from .graphs import WeightedGraph, iter_bits
+from .graphs import WeightedGraph, _integer_measures
 from .hallflow import HALF, FlowResult, cover_flow
 from .hallflow import max_flow  # noqa: F401  still bound here for bench/tests/test_bench.py
 
@@ -74,19 +74,29 @@ def descriptor_from_flow(cover: WeightedGraph, result: FlowResult) -> Descriptor
         raise SaturationRequired(
             f"descriptor requires saturating flow, got value {result.value}"
         )
+    scale = result.scale
+    half = scale // 2
+    # The cover edges are the middle run of condition_network's arcs, one
+    # A-side vertex after another; positions count units of 1/scale.
+    middle = slice(cover.n // 2, len(result.arc_flows) - cover.n // 2)
     base_pieces = []
     mirror_pieces = []
-    position = Fraction(0)
-    for x in range(cover.n // 2):
-        for y in iter_bits(cover.adj[x]):
-            f = result.flows[(x, y)]
-            if f == 0:
-                continue
-            base_pieces.append(IntervalPiece(position, position + f, x))
-            mirror_pieces.append(IntervalPiece(position + HALF, position + f + HALF, y))
-            position += f
-    if position != HALF:
-        raise AssertionError(f"edge flows tile [0,{position}) instead of [0,1/2)")
+    position = 0
+    lo, mirror_lo = Fraction(0), HALF
+    for (x, y, _), f in zip(result.network.arcs[middle], result.arc_flows[middle]):
+        if f == 0:
+            continue
+        position += f
+        # Each boundary is built once: a tile's hi is the next tile's lo.
+        hi = Fraction(position, scale)
+        mirror_hi = Fraction(position + half, scale)
+        base_pieces.append(IntervalPiece(lo, hi, x))
+        mirror_pieces.append(IntervalPiece(mirror_lo, mirror_hi, y))
+        lo, mirror_lo = hi, mirror_hi
+    if position != half:
+        raise AssertionError(
+            f"edge flows tile [0,{Fraction(position, scale)}) instead of [0,1/2)"
+        )
     return DescriptorReport(IntervalHom(tuple(base_pieces + mirror_pieces)), HALF, cover)
 
 
@@ -97,45 +107,56 @@ def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
     overlap; the total length mapped to each cover vertex equals its
     measure; and every tile of [0,1/2) has its exact +1/2 mirror with an
     adjacent target. A piecewise-constant map makes these finitely many
-    breakpoint checks decide the continuum conditions.
+    breakpoint checks decide the continuum conditions. Every endpoint is
+    put over one common denominator D, a multiple of 2, so the checks run
+    on integer numerators; fibers are compared with the cover measures by
+    cross-multiplying, and a ``Fraction`` is built only for a message.
     """
-    for p in hom.pieces:
-        if not (0 <= p.lo < p.hi <= 1):
+    # Every endpoint, and 1/2 last, as integers over one denominator.
+    numerators, den = _integer_measures(
+        [e for p in hom.pieces for e in (p.lo, p.hi)] + [HALF]
+    )
+    half = numerators.pop()
+    ends = list(zip(numerators[::2], numerators[1::2]))
+
+    for p, (lo, hi) in zip(hom.pieces, ends):
+        if not (0 <= lo < hi <= den):
             return f"piece [{p.lo},{p.hi}) is not a half-open subinterval of [0,1)"
         if not 0 <= p.target < cover.n:
             return f"piece target {p.target} is not a cover vertex"
 
-    ordered = sorted(hom.pieces, key=lambda p: p.lo)
-    cursor = Fraction(0)
-    for p in ordered:
-        if p.lo < cursor:
+    ordered = sorted(zip(ends, hom.pieces), key=lambda e: e[0][0])
+    cursor = 0
+    for (lo, hi), p in ordered:
+        if lo < cursor:
             return f"pieces overlap at {p.lo}"
-        if p.lo > cursor:
-            return f"gap in coverage at {cursor}"
-        cursor = p.hi
-    if cursor != 1:
-        return f"coverage stops at {cursor} instead of 1"
+        if lo > cursor:
+            return f"gap in coverage at {Fraction(cursor, den)}"
+        cursor = hi
+    if cursor != den:
+        return f"coverage stops at {Fraction(cursor, den)} instead of 1"
 
-    fiber = [Fraction(0)] * cover.n
-    for p in hom.pieces:
-        fiber[p.target] += p.hi - p.lo
-    for z in range(cover.n):
-        if fiber[z] != cover.measures[z]:
+    fiber = [0] * cover.n
+    for p, (lo, hi) in zip(hom.pieces, ends):
+        fiber[p.target] += hi - lo
+    measures, measure_den = _integer_measures(cover.measures)
+    for z, m in enumerate(measures):
+        if fiber[z] * measure_den != m * den:
             return (
-                f"fiber of {cover.labels[z]} has length {fiber[z]}, "
+                f"fiber of {cover.labels[z]} has length {Fraction(fiber[z], den)}, "
                 f"measure is {cover.measures[z]}"
             )
 
     upper = {}
-    for p in ordered:
-        if p.lo < HALF < p.hi:
+    for (lo, hi), p in ordered:
+        if lo < half < hi:
             return f"piece [{p.lo},{p.hi}) straddles 1/2"
-        if p.lo >= HALF:
-            upper[(p.lo, p.hi)] = p.target
-    for p in ordered:
-        if p.hi > HALF:
+        if lo >= half:
+            upper[(lo, hi)] = p.target
+    for (lo, hi), p in ordered:
+        if hi > half:
             continue
-        key = (p.lo + HALF, p.hi + HALF)
+        key = (lo + half, hi + half)
         if key not in upper:
             return f"piece [{p.lo},{p.hi}) has no mirror at +1/2"
         mate = upper[key]
@@ -164,10 +185,12 @@ def verify_finite_hom(
         iu, iv = mapping[u], mapping[v]
         if iu == iv or not g.adj[iu] >> iv & 1:
             return False
-    fiber = [Fraction(0)] * g.n
-    for v in range(h.n):
-        fiber[mapping[v]] += h.measures[v]
-    return all(fiber[t] == g.measures[t] for t in range(g.n))
+    numerators, den = _integer_measures(h.measures)
+    fiber = [0] * g.n
+    for t, m in zip(mapping, numerators):
+        fiber[t] += m
+    targets, target_den = _integer_measures(g.measures)
+    return all(f * target_den == m * den for f, m in zip(fiber, targets))
 
 
 def interval_hom_to_json(hom: IntervalHom, cover: WeightedGraph) -> list[dict]:

@@ -15,14 +15,14 @@ independent witness.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .graphs import (
     WeightedGraph,
+    _integer_measures,
     is_independent,
     iter_bits,
     mask_from,
@@ -50,14 +50,26 @@ class FlowNetwork:
 class FlowResult:
     """Exact maximum flow with its canonical minimum cut.
 
-    ``flows`` maps every arc to its flow; ``cut_source_side`` is the
-    bitmask of cover vertices reachable from the source in the final
-    residual network, which is the inclusion-minimal minimum cut.
+    The flow on arc i of ``network.arcs`` is ``arc_flows[i] / scale``,
+    integers over the one common denominator the search ran on.
+    ``flows`` maps every arc ``(u, v)`` to its flow as a ``Fraction``; it
+    is built from ``arc_flows`` on first read and cached. ``cut_source_side``
+    is the bitmask of cover vertices reachable from the source in the
+    final residual network, which is the inclusion-minimal minimum cut.
     """
 
     value: Fraction
-    flows: dict[tuple[int, int], Fraction]
+    scale: int
+    arc_flows: tuple[int, ...]
     cut_source_side: int
+    network: FlowNetwork = field(repr=False, compare=False)
+
+    @cached_property
+    def flows(self) -> dict[tuple[int, int], Fraction]:
+        return {
+            (u, v): Fraction(f, self.scale)
+            for (u, v, _), f in zip(self.network.arcs, self.arc_flows)
+        }
 
 
 def build_double_cover(g: WeightedGraph) -> WeightedGraph:
@@ -77,6 +89,17 @@ def build_double_cover(g: WeightedGraph) -> WeightedGraph:
 
 
 def condition_network(cover: WeightedGraph) -> FlowNetwork:
+    """The source/sink network of the double cover, arcs in a fixed order.
+
+    Nodes are the cover vertices, then the source at ``cover.n`` and the
+    sink at ``cover.n + 1``. The arcs come in three runs: source to each
+    A-side vertex x with capacity mu'(x), in vertex order; every cover
+    edge from x to its B-side neighbors y with capacity ``BIG``, x in
+    vertex order and y increasing; each B-side vertex y to the sink with
+    capacity mu'(y), in vertex order. ``max_flow`` takes its augmenting
+    paths, and so its flow and cut, from this order, and
+    ``descriptor_from_flow`` reads the middle run's flows by position in it.
+    """
     n = cover.n // 2
     source = cover.n
     sink = cover.n + 1
@@ -95,86 +118,112 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     """Exact maximum flow via blocking flows on shortest layered networks.
 
     Capacities are scaled by the least common multiple of their
-    denominators, the search runs on integers, and the result is scaled
-    back, so termination and exactness are both guaranteed. Arc order is
-    the construction order, which makes the final flow and the residual
-    reachability cut deterministic.
+    denominators, so the search runs on integers and stays exact. Arcs
+    live in flat lists: arc 2i is arc i of ``net.arcs`` and arc 2i + 1 its
+    reverse, so the reverse of arc a is a ^ 1, and each node lists its arc
+    ids in construction order. That order fixes the augmenting paths,
+    which makes the final flow and the residual reachability cut
+    deterministic.
+
+    Each breadth-first search stops once it labels the sink. Every node
+    of a lower level is labeled by then; a node it leaves unlabeled is
+    unreachable or lies at the sink's level or deeper, where the level
+    graph cannot reach the sink, so the path search would only have met
+    dead ends there. The paths and the amounts pushed are the same as
+    with a full search. The last search fails to reach the sink and so
+    runs in full: the nodes it labels are exactly those reachable in the
+    final residual network, and they form the cut.
     """
-    scale = math.lcm(*(c.denominator for _, _, c in net.arcs)) if net.arcs else 1
-    caps = [c.numerator * (scale // c.denominator) for _, _, c in net.arcs]
+    arcs = net.arcs
     node_count = net.graph_nodes + 2
-    # Forward arc i and its reverse live at graph[u][..] entries [v, cap, rev].
-    graph: list[list[list[int]]] = [[] for _ in range(node_count)]
-    forward = []
-    for (u, v, _), cap in zip(net.arcs, caps):
-        edge = [v, cap, len(graph[v])]
-        forward.append(edge)
-        graph[u].append(edge)
-        graph[v].append([u, 0, len(graph[u]) - 1])
-
+    caps, scale = _integer_measures([c for _, _, c in arcs])
+    cap = [0] * (2 * len(arcs))
+    cap[::2] = caps
+    head = [0] * (2 * len(arcs))
+    head[::2] = [v for _, v, _ in arcs]
+    head[1::2] = [u for u, _, _ in arcs]
+    out: list[list[int]] = [[] for _ in range(node_count)]
+    for a, (u, v, _) in enumerate(arcs):
+        out[u].append(2 * a)
+        out[v].append(2 * a + 1)
     source, sink = net.source, net.sink
-    level = [0] * node_count
-    pointer = [0] * node_count
 
-    def bfs() -> bool:
-        for i in range(node_count):
-            level[i] = -1
+    def bfs() -> tuple[list[int], list[int]]:
+        # Levels from the source, and the nodes labeled in order.
+        level = [-1] * node_count
         level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _ in graph[u]:
-                if cap > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level[sink] >= 0
+        reached = [source]
+        for u in reached:
+            next_level = level[u] + 1
+            for a in out[u]:
+                if cap[a]:
+                    v = head[a]
+                    if level[v] < 0:
+                        level[v] = next_level
+                        if v == sink:
+                            return level, reached
+                        reached.append(v)
+        return level, reached
 
-    def augment() -> int:
-        # Depth-first search for one source-sink path in the level graph,
+    def blocking_flow(level: list[int]) -> int:
+        # Depth-first search for source-sink paths in the level graph,
         # kept as an explicit list of arcs so long covers need no deep
-        # recursion. A dead end retreats one arc and moves the parent's
-        # pointer past it; arcs on the found path keep their pointers.
-        path: list[list[int]] = []
+        # recursion. A dead end retreats one arc, moves the parent's
+        # pointer past it and drops out of the level graph, so no later
+        # path enters it again. Arcs on a found path keep their pointers.
+        # After a push the search resumes at the tail of the first arc it
+        # saturated: a restart from the source would walk the unsaturated
+        # prefix of the path again, arc for arc.
+        pointer = [0] * node_count
+        pushed_total = 0
+        path: list[int] = []
         u = source
-        while u != sink:
-            edges = graph[u]
-            while pointer[u] < len(edges):
-                edge = edges[pointer[u]]
-                if edge[1] > 0 and level[edge[0]] == level[u] + 1:
-                    path.append(edge)
-                    u = edge[0]
+        while True:
+            if u == sink:
+                pushed = min([cap[a] for a in path])
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                pushed_total += pushed
+                for i, a in enumerate(path):
+                    if not cap[a]:
+                        del path[i:]
+                        break
+                u = head[path[-1]] if path else source
+                continue
+            arcs_u = out[u]
+            p = pointer[u]
+            end = len(arcs_u)
+            next_level = level[u] + 1
+            while p < end:
+                a = arcs_u[p]
+                if cap[a] and level[head[a]] == next_level:
                     break
+                p += 1
+            pointer[u] = p
+            if p < end:
+                path.append(a)
+                u = head[a]
+            elif path:
+                level[u] = -1
+                path.pop()
+                u = head[path[-1]] if path else source
                 pointer[u] += 1
             else:
-                if not path:
-                    return 0
-                path.pop()
-                u = path[-1][0] if path else source
-                pointer[u] += 1
-        pushed = min(edge[1] for edge in path)
-        for edge in path:
-            edge[1] -= pushed
-            graph[edge[0]][edge[2]][1] += pushed
-        return pushed
+                return pushed_total
 
     total = 0
-    while bfs():
-        for i in range(node_count):
-            pointer[i] = 0
-        while True:
-            pushed = augment()
-            if pushed == 0:
-                break
-            total += pushed
+    while True:
+        level, reached = bfs()
+        if level[sink] < 0:
+            break
+        total += blocking_flow(level)
 
-    flows = {
-        (u, v): Fraction(cap - edge[1], scale)
-        for (u, v, _), cap, edge in zip(net.arcs, caps, forward)
-    }
-    # The last bfs() failed to reach the sink, so it leveled exactly the
-    # vertices reachable from the source in the final residual network.
-    cut = mask_from(v for v in range(net.graph_nodes) if level[v] >= 0)
-    return FlowResult(Fraction(total, scale), flows, cut)
+    # The last bfs() failed to reach the sink, so it labeled exactly the
+    # nodes reachable from the source in the final residual network.
+    cut = mask_from(reached[1:])
+    # The reverse of arc i starts empty and holds exactly its flow.
+    return FlowResult(Fraction(total, scale), scale, tuple(cap[1::2]), cut, net)
 
 
 def cover_flow(g: WeightedGraph) -> tuple[WeightedGraph, FlowResult]:

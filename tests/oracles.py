@@ -7,13 +7,16 @@ flow, or descriptor internals, only the elementary set operations.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
 from tensorindep import (
     WeightedGraph,
     is_independent,
+    mask_from,
     measure_of,
     neighborhood,
 )
@@ -109,3 +112,92 @@ def random_measured_graph(
         weights[rng.randrange(n)] = 1
     total = sum(weights)
     return WeightedGraph([Fraction(w, total) for w in weights], edges)
+
+
+def reference_max_flow(net) -> tuple[Fraction, dict[tuple[int, int], Fraction], int]:
+    """Blocking-flow Dinic on lists of edge lists: (value, flows, cut).
+
+    A straightforward layout of the algorithm ``hallflow.max_flow`` runs:
+    every node keeps ``[head, residual, reverse index]`` edge lists in arc
+    order, each breadth-first search levels the whole residual network,
+    and each augmenting path is searched again from the source. ``flows``
+    maps every arc ``(u, v)`` of ``net.arcs`` to its flow and ``cut`` is
+    the bitmask of nodes below ``net.graph_nodes`` that the source reaches
+    in the final residual network. The optimized search must return the
+    same value, the same flow on every arc and the same cut.
+    """
+    scale = math.lcm(*(c.denominator for _, _, c in net.arcs)) if net.arcs else 1
+    caps = [c.numerator * (scale // c.denominator) for _, _, c in net.arcs]
+    node_count = net.graph_nodes + 2
+    # Forward arc i and its reverse live at graph[u][..] entries [v, cap, rev].
+    graph: list[list[list[int]]] = [[] for _ in range(node_count)]
+    forward = []
+    for (u, v, _), cap in zip(net.arcs, caps):
+        edge = [v, cap, len(graph[v])]
+        forward.append(edge)
+        graph[u].append(edge)
+        graph[v].append([u, 0, len(graph[u]) - 1])
+
+    source, sink = net.source, net.sink
+    level = [0] * node_count
+    pointer = [0] * node_count
+
+    def bfs() -> bool:
+        for i in range(node_count):
+            level[i] = -1
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v, cap, _ in graph[u]:
+                if cap > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level[sink] >= 0
+
+    def augment() -> int:
+        # Depth-first search for one source-sink path in the level graph,
+        # kept as an explicit list of arcs so long covers need no deep
+        # recursion. A dead end retreats one arc and moves the parent's
+        # pointer past it; arcs on the found path keep their pointers.
+        path: list[list[int]] = []
+        u = source
+        while u != sink:
+            edges = graph[u]
+            while pointer[u] < len(edges):
+                edge = edges[pointer[u]]
+                if edge[1] > 0 and level[edge[0]] == level[u] + 1:
+                    path.append(edge)
+                    u = edge[0]
+                    break
+                pointer[u] += 1
+            else:
+                if not path:
+                    return 0
+                path.pop()
+                u = path[-1][0] if path else source
+                pointer[u] += 1
+        pushed = min(edge[1] for edge in path)
+        for edge in path:
+            edge[1] -= pushed
+            graph[edge[0]][edge[2]][1] += pushed
+        return pushed
+
+    total = 0
+    while bfs():
+        for i in range(node_count):
+            pointer[i] = 0
+        while True:
+            pushed = augment()
+            if pushed == 0:
+                break
+            total += pushed
+
+    flows = {
+        (u, v): Fraction(cap - edge[1], scale)
+        for (u, v, _), cap, edge in zip(net.arcs, caps, forward)
+    }
+    # The last bfs() failed to reach the sink, so it leveled exactly the
+    # vertices reachable from the source in the final residual network.
+    cut = mask_from(v for v in range(net.graph_nodes) if level[v] >= 0)
+    return Fraction(total, scale), flows, cut

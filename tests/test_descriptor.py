@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,13 @@ from tensorindep import (
     verify_finite_hom,
     violating_independent_set,
 )
+from tensorindep.cli import load_graph
 
 from conftest import measured_graphs
 
 HALF = Fraction(1, 2)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestBuildDescriptor:
@@ -145,6 +149,109 @@ class TestVerifyIntervalHom:
         message = check_interval_hom(IntervalHom(pieces), cover)
         assert message is not None
 
+
+class TestGoldenDescriptors:
+    """The descriptor arrays of the recorded analyze reports, rebuilt."""
+
+    @pytest.mark.parametrize(
+        "demo, golden",
+        [
+            ("c5_cycle.txt", "c5_cycle.txt.power3.out"),
+            ("c7_chord.json", "c7_chord.json.power2.out"),
+        ],
+    )
+    def test_matches_recorded_report(self, demo, golden):
+        g = load_graph(str(ROOT / "demos" / "data" / demo))
+        recorded = json.loads((ROOT / "bench" / "golden" / golden).read_text())
+        cover = build_double_cover(g)
+        rebuilt = interval_hom_to_json(build_descriptor(g).hom, cover)
+        assert rebuilt == recorded["descriptor"]
+
+
+def k2_pieces(*spans):
+    """Pieces over the cover of uniform K2 from (lo, hi, target) triples."""
+    return IntervalHom(
+        tuple(IntervalPiece(Fraction(lo), Fraction(hi), t) for lo, hi, t in spans)
+    )
+
+
+class TestCheckIntervalHomMessages:
+    """Each diagnostic, with its exact text, on the cover of uniform K2.
+
+    The cover's vertices are (u,A)=0, (v,A)=1, (u,B)=2, (v,B)=3, each of
+    measure 1/4; the edges are (u,A)-(v,B) and (v,A)-(u,B).
+    """
+
+    @pytest.mark.parametrize(
+        "spans, message",
+        [
+            (
+                [("0", "1/4", 0), ("1/4", "1/2", 1), ("1/2", "3/4", 3), ("3/4", "5/4", 2)],
+                "piece [3/4,5/4) is not a half-open subinterval of [0,1)",
+            ),
+            (
+                [("0", "1/4", 0), ("1/4", "1/4", 1), ("1/4", "1/2", 1)],
+                "piece [1/4,1/4) is not a half-open subinterval of [0,1)",
+            ),
+            (
+                [("0", "1/4", 0), ("1/4", "1/2", 4), ("1/2", "3/4", 3), ("3/4", "1", 2)],
+                "piece target 4 is not a cover vertex",
+            ),
+            (
+                [("0", "3/8", 0), ("1/4", "1/2", 1), ("1/2", "3/4", 3), ("3/4", "1", 2)],
+                "pieces overlap at 1/4",
+            ),
+            (
+                [("0", "1/8", 0), ("1/4", "1/2", 1), ("1/2", "3/4", 3), ("3/4", "1", 2)],
+                "gap in coverage at 1/8",
+            ),
+            (
+                [("0", "1/4", 0), ("1/4", "1/2", 1), ("1/2", "3/4", 3)],
+                "coverage stops at 3/4 instead of 1",
+            ),
+            (
+                [("0", "1/4", 1), ("1/4", "1/2", 1), ("1/2", "3/4", 3), ("3/4", "1", 2)],
+                "fiber of (u,A) has length 0, measure is 1/4",
+            ),
+            (
+                [
+                    ("0", "1/4", 0),
+                    ("1/4", "3/8", 1),
+                    ("3/8", "5/8", 3),
+                    ("5/8", "3/4", 1),
+                    ("3/4", "1", 2),
+                ],
+                "piece [3/8,5/8) straddles 1/2",
+            ),
+            (
+                [
+                    ("0", "1/4", 0),
+                    ("1/4", "1/2", 1),
+                    ("1/2", "5/8", 3),
+                    ("5/8", "3/4", 3),
+                    ("3/4", "1", 2),
+                ],
+                "piece [0,1/4) has no mirror at +1/2",
+            ),
+            (
+                [("0", "1/4", 0), ("1/4", "1/2", 1), ("1/2", "3/4", 2), ("3/4", "1", 3)],
+                "mirror pair [0,1/4) targets (u,A) and (u,B), "
+                "which are not adjacent in the cover",
+            ),
+        ],
+    )
+    def test_first_failure_message(self, k2, spans, message):
+        assert check_interval_hom(k2_pieces(*spans), build_double_cover(k2)) == message
+
+    def test_valid_map_passes(self, k2):
+        hom = k2_pieces(("0", "1/4", 0), ("1/4", "1/2", 1), ("1/2", "3/4", 3), ("3/4", "1", 2))
+        assert check_interval_hom(hom, build_double_cover(k2)) is None
+
+    def test_no_pieces(self, k2):
+        assert (
+            check_interval_hom(IntervalHom(()), build_double_cover(k2))
+            == "coverage stops at 0 instead of 1"
+        )
 
 class TestSerialization:
     def test_roundtrip(self, k3):

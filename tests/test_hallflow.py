@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from tensorindep import (
 from tensorindep.hallflow import BIG, condition_network, max_flow
 
 from conftest import measured_graphs
-from oracles import brute_violating_any, brute_violating_independent
+from oracles import brute_violating_any, brute_violating_independent, reference_max_flow
 
 HALF = Fraction(1, 2)
 
@@ -163,6 +164,78 @@ class TestMaxFlow:
         assert first.value == second.value
         assert first.flows == second.flows
         assert first.cut_source_side == second.cut_source_side
+
+
+def planted_graph(rng: random.Random, n: int) -> WeightedGraph:
+    """Sparse graph (average degree 4) with random integer weights, raised
+    on a planted independent set until it outweighs its neighborhood."""
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < 2 * n:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    planted = blocked = 0
+    for v in rng.sample(range(n), n // 10):
+        if not blocked >> v & 1:
+            planted |= 1 << v
+            blocked |= adj[v] | 1 << v
+    weights = [rng.randint(1, 4) for _ in range(n)]
+    members = list(iter_bits(planted))
+    around = 0
+    for v in members:
+        around |= adj[v]
+    deficit = sum(weights[v] for v in iter_bits(around)) - sum(weights[v] for v in members)
+    for i in range(deficit + 1):
+        weights[members[i % len(members)]] += 1
+    total = sum(weights)
+    return WeightedGraph([Fraction(w, total) for w in weights], sorted(edges))
+
+
+def cubic_bipartite_graph(rng: random.Random, n: int) -> WeightedGraph:
+    """Uniform 3-regular bipartite graph: three disjoint random perfect
+    matchings between the first and the second half of the vertices."""
+    half = n // 2
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < 3 * half:
+        perm = rng.sample(range(half), half)
+        matching = {(i, half + perm[i]) for i in range(half)}
+        if not matching & edges:
+            edges |= matching
+    return WeightedGraph([Fraction(1, n)] * n, sorted(edges))
+
+
+class TestMatchesReference:
+    """The flat-array search pushes along the same paths as the edge-list
+    Dinic in ``oracles.reference_max_flow``: same value, cut and arc flows."""
+
+    @staticmethod
+    def check(g: WeightedGraph):
+        net = condition_network(build_double_cover(g))
+        result = max_flow(net)
+        value, flows, cut = reference_max_flow(net)
+        assert result.value == value
+        assert result.cut_source_side == cut
+        assert result.flows == flows
+        assert [Fraction(f, result.scale) for f in result.arc_flows] == [
+            flows[(u, v)] for u, v, _ in net.arcs
+        ]
+        return result
+
+    @settings(max_examples=150)
+    @given(measured_graphs(max_vertices=14))
+    def test_small_measured_graphs(self, g):
+        self.check(g)
+
+    def test_planted_300_vertices(self):
+        g = planted_graph(random.Random(300), 300)
+        assert self.check(g).value < HALF
+
+    def test_cubic_bipartite_500_vertices(self):
+        g = cubic_bipartite_graph(random.Random(500), 500)
+        assert self.check(g).value == HALF
 
 
 class TestViolatingSet:
