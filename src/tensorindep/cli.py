@@ -19,6 +19,7 @@ strings so no tool in a pipeline ever sees a float.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import reprlib
@@ -365,31 +366,45 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-power", type=int, default=None, metavar="N")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--seed-independent-set", default="", metavar="IDS")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("alpha", help="independence measure of one power")
     p.add_argument("path")
     p.add_argument("--power", type=int, default=1, metavar="N")
-    p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("descriptor", help="interval descriptor as JSON")
     p.add_argument("path")
     p.add_argument("--out", default="", metavar="FILE")
-    p.set_defaults(func=cmd_descriptor)
 
     p = sub.add_parser("verify-hom", help="check a measure-preserving homomorphism")
     p.add_argument("path_h")
     p.add_argument("path_g")
     p.add_argument("path_map")
-    p.set_defaults(func=cmd_verify_hom)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return make_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused by later ones in the
+    same process. It names no handler: each call looks the ``cmd_*``
+    function up by the command's name at call time, so a function put
+    into this module's namespace later (a tracer's wrapper, say) is the
+    one that runs.
+    """
+    args = _parser().parse_args(argv)
+    handler = {
+        "analyze": cmd_analyze,
+        "alpha": cmd_alpha,
+        "descriptor": cmd_descriptor,
+        "verify-hom": cmd_verify_hom,
+    }[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -36,7 +36,30 @@ def mask_from(indices: Iterable[int]) -> int:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``mask`` in increasing order."""
+    """Yield the indices of the set bits of ``mask`` in increasing order.
+
+    Clearing the lowest bit copies the whole mask, so on a mask of
+    thousands of bits with many of them set the loop is quadratic. A
+    mask longer than 1,024 bits that still holds bits after its first 64
+    have come out goes on as a walk over its binary string, which is
+    linear. Short masks, and long ones with few bits set (a row of a
+    large sparse graph), only ever take the loop.
+    """
+    if mask.bit_length() > 1024:
+        left = 64
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+            left -= 1
+            if not left:
+                digits = bin(mask)[:1:-1]
+                i = digits.find("1")
+                while i >= 0:
+                    yield i
+                    i = digits.find("1", i + 1)
+                return
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -1,8 +1,10 @@
 """Exact maximum-measure independent sets.
 
 The optimizer is a branch-and-bound search on bitset graphs: absorb
-isolated vertices, split connected components (tensor powers of sparse
-graphs shatter into many), branch on a maximum-degree vertex, and prune
+isolated vertices and isolated edges (an edge component takes its
+heavier end, with no search set up for it; K2^k is nothing else), split
+the other connected components (tensor powers of sparse graphs shatter
+into many), branch on a maximum-degree vertex, and prune
 with a greedy clique-cover bound. A candidate set of maximum degree 2 is
 a union of paths and cycles and is solved by dynamic programming instead
 of branching. The measures are rescaled once to a common denominator, so
@@ -51,10 +53,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, _integer_measures, is_independent, iter_bits
+from .graphs import WeightedGraph, _integer_measures, is_independent, iter_bits, mask_from
 from .tensor import tensor_product
 
 #: Largest vertex count the independent-set search accepts.
@@ -128,17 +130,29 @@ def _component_of(adj: tuple[int, ...], mask: int, start_bit: int) -> tuple[int,
 def _max_weight(adj: tuple[int, ...], weights: list[int], mask: int) -> int:
     """Maximum total weight of an independent subset of ``mask``.
 
-    Isolated vertices are absorbed outright and connected components are
-    solved separately; tensor powers of sparse graphs fall apart this
-    way, which is where most of the speed comes from.
+    One scan absorbs the isolated vertices and the isolated edges: when
+    v's only neighbour u in ``mask`` has no other neighbour there, {u, v}
+    is a whole component, and the heavier end (under tie-ranked weights,
+    the canonical one) is added once, at the lower endpoint. A pendant
+    vertex whose neighbour has other neighbours stays. The remaining
+    connected components are solved separately; tensor powers of sparse
+    graphs fall apart this way (K2^k into 2^(k-1) edges), which is where
+    most of the speed comes from.
     """
     total = 0
-    live = 0
+    rest = []
     for v in iter_bits(mask):
-        if adj[v] & mask:
-            live |= 1 << v
-        else:
+        nb = adj[v] & mask
+        if not nb:
             total += weights[v]
+        elif nb.bit_count() == 1 and (adj[u := nb.bit_length() - 1] & mask).bit_count() == 1:
+            if v < u:
+                total += weights[v] if weights[v] > weights[u] else weights[u]
+        else:
+            rest.append(v)
+    if not rest:
+        return total
+    live = mask if len(rest) == mask.bit_count() else mask_from(rest)
     while live:
         comp, odd = _component_of(adj, live, live & -live)
         live &= ~comp
@@ -420,7 +434,9 @@ def _odd_cover_settles(g: WeightedGraph, alpha: Fraction) -> bool:
     return settled
 
 
-def alpha_sequence(g: WeightedGraph, n_max: int) -> AlphaSequence:
+def alpha_sequence(
+    g: WeightedGraph, n_max: int, *, _ceiling: Optional[Fraction] = None
+) -> AlphaSequence:
     """Exact values for g^1 .. g^n_max, stopping early at the size cap.
 
     Power 1 is always searched. When n_max >= 2, g^2 fits in
@@ -434,6 +450,11 @@ def alpha_sequence(g: WeightedGraph, n_max: int) -> AlphaSequence:
 
     The sequence is checked to be nondecreasing on every run; a decrease
     would mean a bug in the search and raises immediately.
+
+    ``_ceiling`` is for the classifier, which knows that no power exceeds
+    1/2 when no set is violating: a term that reaches it ends the
+    sequence there, and the caller fills in the later terms, which all
+    equal it.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -453,4 +474,6 @@ def alpha_sequence(g: WeightedGraph, n_max: int) -> AlphaSequence:
                 f"independence measure decreased from {terms[-1]} to {value} at power {k}"
             )
         terms.append(value)
+        if value == _ceiling:
+            break
     return AlphaSequence(tuple(terms), False)

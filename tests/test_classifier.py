@@ -24,6 +24,7 @@ from tensorindep import (
     tensor_power,
     violating_independent_set,
 )
+from tensorindep import classifier, mwis
 from tensorindep.classifier import default_power_cap
 from tensorindep.mwis import MWIS_CAP
 
@@ -107,6 +108,31 @@ class TestClassify:
         for g in (p3, k2):
             with pytest.raises(ValueError, match="n_max"):
                 classify(g, 0)
+
+    @pytest.mark.parametrize(
+        "name, n_max, terms",
+        [
+            ("c7_chord", 2, (Fraction(3, 7),) * 2),  # power 2 searched
+            ("c5", 3, (Fraction(2, 5),) * 3),  # odd cycle cover, no power built
+            ("k2", 3, (HALF,) * 3),  # 1/2 at power 1, the rest filled
+        ],
+    )
+    def test_power_one_is_searched_once(self, request, monkeypatch, name, n_max, terms):
+        g = request.getfixturevalue(name)
+        searched = []
+        search = mwis._alpha_value
+        monkeypatch.setattr(mwis, "_alpha_value", lambda h: searched.append(h.n) or search(h))
+        sequences = []
+        sequence = classifier.alpha_sequence
+        monkeypatch.setattr(
+            classifier,
+            "alpha_sequence",
+            lambda *args, **kwargs: sequences.append(args) or sequence(*args, **kwargs),
+        )
+        verdict = classify(g, n_max)
+        assert verdict.certificate.alpha_terms == terms
+        assert searched.count(g.n) == 1
+        assert len(sequences) == 1
 
     def test_default_power_cap(self):
         assert default_power_cap(2) == 12

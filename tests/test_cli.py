@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from tensorindep import (
     hallflow,
     interval_hom_from_json,
 )
+from tensorindep import cli
 from tensorindep.cli import (
     DocumentError,
     load_graph,
@@ -491,6 +493,52 @@ class TestOneCoverOneFlow:
         command, name, *flags = argv
         assert main([command, str(DEMO_DATA / name), *flags]) == 0
         assert counts == {"build_double_cover": 1, "max_flow": 1}
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.out")), ids=lambda p: p.name)
+def test_analyze_matches_the_golden_report(golden, capsys):
+    # <demo file>.power<k>.out holds the stdout of analyze at --max-power k.
+    name, power = re.fullmatch(r"(.+)\.power(\d+)\.out", golden.name).groups()
+    with open(golden, encoding="utf-8") as handle:
+        expected = handle.read()
+    assert main(["analyze", str(DEMO_DATA / name), "--max-power", power]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_golden_reports_are_all_there():
+    assert len(list(GOLDEN.glob("*.out"))) == 13
+
+
+class TestOneParser:
+    """main builds its parser once and picks the handler at call time."""
+
+    def test_flags_do_not_carry_over_between_calls(self, capsys):
+        path = str(DEMO_DATA / "p3_path.json")
+        outputs = []
+        for flags in ([], ["--format", "text"], [], ["--format", "text"]):
+            assert main(["analyze", path, "--max-power", "2", *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+        assert json.loads(outputs[0])["alpha_sequence"] == ["2/3", "2/3"]
+        assert outputs[1].startswith("graph: 3 vertices")
+
+    def test_handler_patched_after_a_call_is_the_one_that_runs(self, monkeypatch, capsys):
+        path = str(DEMO_DATA / "k2_uniform.json")
+        assert main(["analyze", path, "--max-power", "1"]) == 0
+        capsys.readouterr()
+        seen = []
+
+        def replacement(args):
+            seen.append(args.path)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_analyze", replacement)
+        assert main(["analyze", path, "--max-power", "1"]) == 0
+        assert seen == [path]
+        assert capsys.readouterr().out == ""
 
 
 def test_module_entrypoint_runs_in_subprocess(tmp_path):

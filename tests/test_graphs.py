@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,29 @@ class TestVertexTransitivity:
 
 def test_iter_bits_roundtrip():
     assert list(iter_bits(mask_from([0, 3, 5]))) == [0, 3, 5]
+    assert list(iter_bits(0)) == []
+
+
+def test_iter_bits_on_long_masks():
+    # A long mask with many bits leaves the bit-clearing loop for a string
+    # walk after its first 64 bits; every length and density, and set-bit
+    # counts at the switch, must give the same list as the indices put in.
+    rng = random.Random(0xB175)
+    cases = [
+        (length, max(1, round(length * density)))
+        for length in (1, 63, 64, 65, 1024, 1025, 1100, 5000, 20_000)
+        for density in (0.0001, 0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0)
+    ]
+    cases += [(2000, count) for count in (63, 64, 65, 128)]
+    for length, count in cases:
+        # The top bit is always set, so the mask is ``length`` bits long.
+        expected = sorted(rng.sample(range(length - 1), count - 1)) + [length - 1]
+        buf = bytearray(length // 8 + 1)
+        for i in expected:
+            buf[i >> 3] |= 1 << (i & 7)
+        mask = int.from_bytes(buf, "little")
+        assert mask.bit_length() == length
+        assert list(iter_bits(mask)) == expected, (length, count)
     assert list(iter_bits(0)) == []
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from tensorindep import (
     tensor_product,
 )
 from tensorindep import mwis
+from tensorindep.cli import load_graph
 from tensorindep.graphs import _integer_measures
 from tensorindep.mwis import MWIS_CAP, _alpha_value
 
@@ -331,6 +334,106 @@ class TestOddCyclePartitionBound:
                         exact = brute_alpha_value_int(*_induced(ring, w, mask))
                         assert mwis._cycle_max(w, cycle) == exact
         assert parts_seen > 0
+
+
+# Parts for disjoint unions, as (edges, weights): isolated vertices;
+# isolated edges with zero, equal and unequal weights, the heavier end
+# first and last; pendant edges hanging off larger parts.
+_ISOLATED = [((), [0]), ((), [4])]
+_EDGES = [(((0, 1),), [0, 0]), (((0, 1),), [3, 3]), (((0, 1),), [5, 2]), (((0, 1),), [2, 5])]
+_PENDANT = [
+    (((0, 1), (1, 2)), [4, 1, 4]),
+    (((0, 1), (1, 2), (2, 0), (2, 3)), [1, 2, 3, 5]),
+    (((0, 1), (0, 2), (0, 3)), [1, 3, 3, 3]),
+    (((0, 1), (1, 2), (2, 3)), [5, 1, 1, 5]),
+    (((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)), [2, 1, 2, 1, 2, 7]),
+]
+
+
+def _random_part(rng) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    n = rng.randint(2, 5)
+    edges = tuple((rng.randrange(v), v) for v in range(1, n))  # connected
+    edges += tuple((u, v) for v in range(n) for u in range(v - 1) if rng.random() < 0.3)
+    return edges, [rng.randint(0, 6) for _ in range(n)]
+
+
+def _union(parts, rng=None) -> tuple[list[int], list[int]]:
+    """Adjacency rows and weights of the disjoint union of ``parts``.
+
+    With ``rng`` the vertices are shuffled, so a part's vertices are
+    neither consecutive nor in their original order.
+    """
+    n = sum(len(weights) for _, weights in parts)
+    order = list(range(n))
+    if rng is not None:
+        rng.shuffle(order)
+    adj = [0] * n
+    weights = [0] * n
+    base = 0
+    for edges, part_weights in parts:
+        for i, w in enumerate(part_weights):
+            weights[order[base + i]] = w
+        for a, b in edges:
+            u, v = order[base + a], order[base + b]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        base += len(part_weights)
+    return adj, weights
+
+
+def _unions(rng, count: int, max_vertices: int = 14):
+    pool = _ISOLATED + _EDGES + _PENDANT
+    yield _union(_ISOLATED + _EDGES)
+    yield _union(_EDGES + _PENDANT[:1])
+    for _ in range(count):
+        parts = []
+        size = 0
+        while True:
+            part = rng.choice(pool) if rng.random() < 0.7 else _random_part(rng)
+            if size + len(part[1]) > max_vertices:
+                break
+            parts.append(part)
+            size += len(part[1])
+        yield _union(parts, rng)
+
+
+def _ranked(weights: list[int]) -> list[int]:
+    n = len(weights)
+    return [w << n | 1 << (n - 1 - v) for v, w in enumerate(weights)]
+
+
+class TestEdgeComponents:
+    """The opening scan of the search takes isolated edges whole."""
+
+    def test_max_weight_matches_brute_force(self, rng):
+        for adj, weights in _unions(rng, 150):
+            full = (1 << len(adj)) - 1
+            for w in (weights, _ranked(weights)):
+                assert mwis._max_weight(tuple(adj), w, full) == brute_alpha_value_int(adj, w)
+            # A sub-mask can cut a pendant edge loose from its part.
+            for _ in range(3):
+                cand = rng.getrandbits(len(adj))
+                expected = brute_alpha_value_int(*_induced(adj, weights, cand))
+                assert mwis._max_weight(tuple(adj), weights, cand) == expected
+
+    def test_alpha_bar_witness_is_the_canonical_one(self, rng):
+        for adj, weights in _unions(rng, 40, max_vertices=12):
+            if not any(weights):
+                weights[0] = 1
+            total = sum(weights)
+            edges = [(u, v) for u in range(len(adj)) for v in range(u) if adj[u] >> v & 1]
+            g = WeightedGraph([Fraction(w, total) for w in weights], edges)
+            result = alpha_bar(g)
+            assert (result.value, result.witness) == brute_alpha(g)
+
+    def test_biased_k2_sequence_matches_the_golden_report(self):
+        root = Path(__file__).resolve().parent.parent
+        g = load_graph(str(root / "demos" / "data" / "k2_biased.json"))
+        with open(root / "bench" / "golden" / "k2_biased.json.power12.out", encoding="utf-8") as f:
+            golden = json.load(f)["alpha_sequence"]
+        seq = alpha_sequence(g, 12)
+        assert not seq.truncated
+        assert [f"{t.numerator}/{t.denominator}" for t in seq.terms] == golden
 
 
 class TestVertexTransitiveStability:
