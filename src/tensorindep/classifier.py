@@ -115,14 +115,9 @@ def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
 
     # No violating set: a descriptor exists, so the limit is at most 1/2.
     descriptor = descriptor_from_flow(cover, flow)
-    # Every power is at most 1/2 now and the sequence is nondecreasing, so
-    # once a power reaches 1/2 every later one does: fill them, building
-    # no power.
+    # Every power is at most 1/2 now, so a power that reaches 1/2 ends the
+    # searches and the later terms are 1/2.
     seq: AlphaSequence = alpha_sequence(g, n_max, _ceiling=HALF)
-    if seq.terms[-1:] == (HALF,):
-        fits = default_power_cap(g.n)
-        filled = (HALF,) * (min(n_max, fits) - len(seq.terms))
-        seq = AlphaSequence(seq.terms + filled, fits < n_max)
     notes: list[str] = []
     if seq.truncated:
         notes.append(f"alpha sequence truncated after {len(seq.terms)} of {n_max} powers")

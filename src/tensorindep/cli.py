@@ -329,7 +329,8 @@ def cmd_verify_hom(args) -> int:
     try:
         with open(args.path_map, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+    # ValueError: bad JSON or bad UTF-8; RecursionError: deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise DocumentError(f"cannot read map file: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("map file must be a JSON object of id -> id")

@@ -109,8 +109,9 @@ def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
     adjacent target. A piecewise-constant map makes these finitely many
     breakpoint checks decide the continuum conditions. Every endpoint is
     put over one common denominator D, a multiple of 2, so the checks run
-    on integer numerators; fibers are compared with the cover measures by
-    cross-multiplying, and a ``Fraction`` is built only for a message.
+    on integer numerators; fibers are compared with the cover's weights
+    over its scale by cross-multiplying, and a ``Fraction`` is built only
+    for a message.
     """
     # Every endpoint, and 1/2 last, as integers over one denominator.
     numerators, den = _integer_measures(
@@ -139,9 +140,8 @@ def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
     fiber = [0] * cover.n
     for p, (lo, hi) in zip(hom.pieces, ends):
         fiber[p.target] += hi - lo
-    measures, measure_den = _integer_measures(cover.measures)
-    for z, m in enumerate(measures):
-        if fiber[z] * measure_den != m * den:
+    for z, w in enumerate(cover.weights):
+        if fiber[z] * cover.scale != w * den:
             return (
                 f"fiber of {cover.labels[z]} has length {Fraction(fiber[z], den)}, "
                 f"measure is {cover.measures[z]}"
@@ -185,12 +185,10 @@ def verify_finite_hom(
         iu, iv = mapping[u], mapping[v]
         if iu == iv or not g.adj[iu] >> iv & 1:
             return False
-    numerators, den = _integer_measures(h.measures)
     fiber = [0] * g.n
-    for t, m in zip(mapping, numerators):
-        fiber[t] += m
-    targets, target_den = _integer_measures(g.measures)
-    return all(f * target_den == m * den for f, m in zip(fiber, targets))
+    for t, w in zip(mapping, h.weights):
+        fiber[t] += w
+    return all(f * g.scale == w * h.scale for f, w in zip(fiber, g.weights))
 
 
 def interval_hom_to_json(hom: IntervalHom, cover: WeightedGraph) -> list[dict]:
@@ -216,7 +214,7 @@ def interval_hom_from_json(data: Sequence[dict], cover: WeightedGraph) -> Interv
         try:
             target = index[entry["target"]]
             piece = IntervalPiece(Fraction(entry["lo"]), Fraction(entry["hi"]), target)
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid interval piece {entry!r}") from exc
         pieces.append(piece)
     return IntervalHom(tuple(pieces))

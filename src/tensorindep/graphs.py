@@ -3,9 +3,12 @@
 Vertices are dense 0-based indices. Vertex subsets are plain ``int``
 bitmasks (bit ``v`` set means vertex ``v`` is in the set), which keeps
 neighborhood and independence checks down to a few word operations.
-All measures are :class:`fractions.Fraction`, so strict comparisons such
-as "this set outweighs its neighborhood" are decided exactly; no float
-ever enters the arithmetic.
+A graph stores its measure once, as integer ``weights`` over one common
+denominator ``scale``: the least one, so ``scale == sum(weights)``. Every
+layer computes on those integers, and strict comparisons such as "this
+set outweighs its neighborhood" are decided exactly; no float ever enters
+the arithmetic. ``measures`` is the same measure as
+:class:`fractions.Fraction` values, for display and for callers.
 """
 
 from __future__ import annotations
@@ -73,9 +76,14 @@ class WeightedGraph:
     exactly 1) and the edge list (no self-loops; symmetry and simplicity
     are automatic because adjacency is stored as one bitmask per vertex).
     Labels are cosmetic and never affect any computation.
+
+    The measure of vertex v is ``weights[v] / scale``, ``scale`` being the
+    least common denominator of the measures. As they sum to 1, ``scale``
+    equals ``sum(weights)`` and the weights have no common factor, so equal
+    measures always come as equal ``(weights, scale)``.
     """
 
-    __slots__ = ("labels", "measures", "adj")
+    __slots__ = ("labels", "weights", "scale", "adj", "_measures")
 
     def __init__(
         self,
@@ -90,9 +98,10 @@ class WeightedGraph:
         for i, m in enumerate(measures):
             if m < 0:
                 raise ValueError(f"vertex {i} has negative measure {_brief(m)}")
-        total = sum(measures)
-        if total != 1:
-            raise ValueError(f"measures sum to {_brief(total)}, expected 1")
+        weights, scale = _integer_measures(measures)
+        total = sum(weights)
+        if total != scale:
+            raise ValueError(f"measures sum to {_brief(Fraction(total, scale))}, expected 1")
         if labels is None:
             labels = tuple(f"v{i}" for i in range(n))
         else:
@@ -108,29 +117,46 @@ class WeightedGraph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "_measures", measures)
 
     @classmethod
     def _from_parts(
         cls,
         labels: tuple[str, ...],
-        measures: tuple[Fraction, ...],
+        weights: tuple[int, ...],
+        scale: int,
         adj: tuple[int, ...],
     ) -> "WeightedGraph":
-        # Internal fast path for already-validated parts (tensor products).
+        # Internal fast path for already-validated parts (products, covers):
+        # ``scale`` must be the least denominator, so equal to sum(weights).
         g = object.__new__(cls)
         object.__setattr__(g, "labels", labels)
-        object.__setattr__(g, "measures", measures)
+        object.__setattr__(g, "weights", weights)
+        object.__setattr__(g, "scale", scale)
         object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "_measures", None)
         return g
+
+    @property
+    def measures(self) -> tuple[Fraction, ...]:
+        """The measure of each vertex as a ``Fraction``, built on first read."""
+        if self._measures is None:
+            # One Fraction per distinct value, shared by every vertex that carries it.
+            fraction = {w: Fraction(w, self.scale) for w in set(self.weights)}
+            object.__setattr__(
+                self, "_measures", tuple(map(fraction.__getitem__, self.weights))
+            )
+        return self._measures
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedGraph is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.measures)
+        return len(self.weights)
 
     @property
     def full_mask(self) -> int:
@@ -155,19 +181,20 @@ class WeightedGraph:
         labels = tuple(str(x) for x in labels)
         if len(labels) != self.n:
             raise ValueError(f"{len(labels)} labels for {self.n} vertices")
-        return WeightedGraph._from_parts(labels, self.measures, self.adj)
+        return WeightedGraph._from_parts(labels, self.weights, self.scale, self.adj)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
         return (
             self.labels == other.labels
-            and self.measures == other.measures
+            and self.weights == other.weights
+            and self.scale == other.scale
             and self.adj == other.adj
         )
 
     def __hash__(self):
-        return hash((self.labels, self.measures, self.adj))
+        return hash((self.labels, self.weights, self.scale, self.adj))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count()})"
@@ -193,8 +220,8 @@ def neighborhood(g: WeightedGraph, s: int) -> int:
 def measure_of(g: WeightedGraph, s: int) -> Fraction:
     """Exact total measure of the vertex set ``s``."""
     _check_subset(g, s)
-    numerators, den = _integer_measures([g.measures[v] for v in iter_bits(s)])
-    return Fraction(sum(numerators), den)
+    weights = g.weights
+    return Fraction(sum([weights[v] for v in iter_bits(s)]), g.scale)
 
 
 def _integer_measures(measures: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -238,7 +265,7 @@ def bipartition(g: WeightedGraph) -> Optional[tuple[int, int]]:
 
 
 def _uniform(g: WeightedGraph) -> bool:
-    return all(m == g.measures[0] for m in g.measures)
+    return len(set(g.weights)) == 1
 
 
 def _assignment_order(g: WeightedGraph) -> list[int]:

@@ -10,7 +10,8 @@ which makes 2 an effective infinity while keeping all arithmetic
 rational. The maximum flow is therefore at most 1/2, with equality
 exactly when every vertex set Q satisfies mu(Q) <= mu(N(Q)); any deficit
 turns the minimum cut into a violating set Q and, from it, a certified
-independent witness.
+independent witness. The network carries every capacity as an integer
+over the cover's ``scale``, so the flow runs on integers throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Optional
 
 from .graphs import (
     WeightedGraph,
-    _integer_measures,
     is_independent,
     iter_bits,
     mask_from,
@@ -31,19 +31,24 @@ from .graphs import (
 )
 
 #: Stand-in for infinite capacity on cover edges; any value above 1 works.
-BIG = Fraction(2)
+BIG = 2
 
 HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Source/sink network over the cover vertices, arcs in build order."""
+    """Source/sink network over the cover vertices, arcs in build order.
+
+    Each arc is ``(u, v, capacity)``, the capacity an integer number of
+    units of ``1 / scale``.
+    """
 
     graph_nodes: int
     source: int
     sink: int
-    arcs: tuple[tuple[int, int, Fraction], ...]
+    arcs: tuple[tuple[int, int, int], ...]
+    scale: int
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,9 @@ def build_double_cover(g: WeightedGraph) -> WeightedGraph:
     """
     n = g.n
     labels = tuple(f"({z},A)" for z in g.labels) + tuple(f"({z},B)" for z in g.labels)
-    measures = tuple(m / 2 for m in g.measures) * 2
     # (z, A) sees the B copies of z's neighbors, and (z, B) the A copies.
     adj = tuple(m << n for m in g.adj) + g.adj
-    return WeightedGraph._from_parts(labels, measures, adj)
+    return WeightedGraph._from_parts(labels, g.weights * 2, 2 * g.scale, adj)
 
 
 def condition_network(cover: WeightedGraph) -> FlowNetwork:
@@ -99,26 +103,30 @@ def condition_network(cover: WeightedGraph) -> FlowNetwork:
     capacity mu'(y), in vertex order. ``max_flow`` takes its augmenting
     paths, and so its flow and cut, from this order, and
     ``descriptor_from_flow`` reads the middle run's flows by position in it.
+    Capacities are integers over ``cover.scale``: the cover's weights, and
+    ``BIG`` times the scale.
     """
     n = cover.n // 2
     source = cover.n
     sink = cover.n + 1
-    arcs: list[tuple[int, int, Fraction]] = []
+    weights = cover.weights
+    big = BIG * cover.scale
+    arcs: list[tuple[int, int, int]] = []
     for x in range(n):
-        arcs.append((source, x, cover.measures[x]))
+        arcs.append((source, x, weights[x]))
     for x in range(n):
         for y in iter_bits(cover.adj[x]):
-            arcs.append((x, y, BIG))
+            arcs.append((x, y, big))
     for y in range(n, cover.n):
-        arcs.append((y, sink, cover.measures[y]))
-    return FlowNetwork(cover.n, source, sink, tuple(arcs))
+        arcs.append((y, sink, weights[y]))
+    return FlowNetwork(cover.n, source, sink, tuple(arcs), cover.scale)
 
 
 def max_flow(net: FlowNetwork) -> FlowResult:
     """Exact maximum flow via blocking flows on shortest layered networks.
 
-    Capacities are scaled by the least common multiple of their
-    denominators, so the search runs on integers and stays exact. Arcs
+    Capacities are integers over ``net.scale``, so the search runs on
+    integers, stays exact and returns its flows over the same scale. Arcs
     live in flat lists: arc 2i is arc i of ``net.arcs`` and arc 2i + 1 its
     reverse, so the reverse of arc a is a ^ 1, and each node lists its arc
     ids in construction order. That order fixes the augmenting paths,
@@ -136,9 +144,8 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     """
     arcs = net.arcs
     node_count = net.graph_nodes + 2
-    caps, scale = _integer_measures([c for _, _, c in arcs])
     cap = [0] * (2 * len(arcs))
-    cap[::2] = caps
+    cap[::2] = [c for _, _, c in arcs]
     head = [0] * (2 * len(arcs))
     head[::2] = [v for _, v, _ in arcs]
     head[1::2] = [u for u, _, _ in arcs]
@@ -223,7 +230,7 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     # nodes reachable from the source in the final residual network.
     cut = mask_from(reached[1:])
     # The reverse of arc i starts empty and holds exactly its flow.
-    return FlowResult(Fraction(total, scale), scale, tuple(cap[1::2]), cut, net)
+    return FlowResult(Fraction(total, net.scale), net.scale, tuple(cap[1::2]), cut, net)
 
 
 def cover_flow(g: WeightedGraph) -> tuple[WeightedGraph, FlowResult]:

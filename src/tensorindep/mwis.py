@@ -7,9 +7,9 @@ the other connected components (tensor powers of sparse graphs shatter
 into many), branch on a maximum-degree vertex, and prune
 with a greedy clique-cover bound. A candidate set of maximum degree 2 is
 a union of paths and cycles and is solved by dynamic programming instead
-of branching. The measures are rescaled once to a common denominator, so
-the whole search runs on arbitrary-precision integers and the optimum is
-exact.
+of branching. It runs on the graph's integer weights, its measures over
+one common denominator, so the whole search stays in arbitrary-precision
+integers and the optimum is exact.
 
 On a triangle-free graph the clique cover is a cover by edges and cannot
 bound below about half the weight, while an odd cycle of length L holds
@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, _integer_measures, is_independent, iter_bits, mask_from
+from .graphs import WeightedGraph, is_independent, iter_bits, mask_from
 from .tensor import tensor_product
 
 #: Largest vertex count the independent-set search accepts.
@@ -96,7 +96,7 @@ class AlphaSequence:
     truncated: bool
 
 
-def _greedy(adj: tuple[int, ...], weights: list[int], mask: int) -> int:
+def _greedy(adj: tuple[int, ...], weights: Sequence[int], mask: int) -> int:
     order = sorted(iter_bits(mask), key=lambda v: (-weights[v], v))
     blocked = 0
     total = 0
@@ -127,7 +127,7 @@ def _component_of(adj: tuple[int, ...], mask: int, start_bit: int) -> tuple[int,
     return comp, odd
 
 
-def _max_weight(adj: tuple[int, ...], weights: list[int], mask: int) -> int:
+def _max_weight(adj: tuple[int, ...], weights: Sequence[int], mask: int) -> int:
     """Maximum total weight of an independent subset of ``mask``.
 
     One scan absorbs the isolated vertices and the isolated edges: when
@@ -160,7 +160,7 @@ def _max_weight(adj: tuple[int, ...], weights: list[int], mask: int) -> int:
     return total
 
 
-def _cover_bound(adj: tuple[int, ...], weights: list[int], cand: int) -> int:
+def _cover_bound(adj: tuple[int, ...], weights: Sequence[int], cand: int) -> int:
     # Greedy clique cover: an independent set meets each clique at most
     # once, so the heaviest member per clique is a valid upper bound.
     bound = 0
@@ -183,7 +183,7 @@ def _cover_bound(adj: tuple[int, ...], weights: list[int], cand: int) -> int:
     return bound
 
 
-def _chain_max(weights: list[int], chain: Sequence[int]) -> int:
+def _chain_max(weights: Sequence[int], chain: Sequence[int]) -> int:
     """Maximum weight of an independent set of the path ``chain``."""
     take = skip = 0
     for v in chain:
@@ -191,7 +191,7 @@ def _chain_max(weights: list[int], chain: Sequence[int]) -> int:
     return take if take > skip else skip
 
 
-def _cycle_max(weights: list[int], cycle: Sequence[int]) -> int:
+def _cycle_max(weights: Sequence[int], cycle: Sequence[int]) -> int:
     """Maximum weight of an independent set of the cycle ``cycle``.
 
     Either the first vertex stays out and the rest is a path, or it is in
@@ -203,7 +203,7 @@ def _cycle_max(weights: list[int], cycle: Sequence[int]) -> int:
     )
 
 
-def _paths_and_cycles_max(adj: tuple[int, ...], weights: list[int], cand: int) -> int:
+def _paths_and_cycles_max(adj: tuple[int, ...], weights: Sequence[int], cand: int) -> int:
     """Exact optimum of ``cand`` when every vertex has one or two neighbors in it.
 
     Such a set falls apart into paths and cycles: each path is walked from
@@ -288,7 +288,10 @@ def _odd_cycle_parts(adj: tuple[int, ...], comp: int) -> list[tuple[int, tuple[i
 
 
 def _partition_bound(
-    adj: tuple[int, ...], weights: list[int], parts: list[tuple[int, tuple[int, ...]]], comp: int
+    adj: tuple[int, ...],
+    weights: Sequence[int],
+    parts: list[tuple[int, tuple[int, ...]]],
+    comp: int,
 ) -> int:
     # An independent set of comp meets each cycle of ``parts`` in an
     # independent set of that cycle, and the rest in one per clique.
@@ -300,7 +303,7 @@ def _partition_bound(
     return bound + _cover_bound(adj, weights, rest)
 
 
-def _branch_and_bound(adj: tuple[int, ...], weights: list[int], comp: int, odd: bool) -> int:
+def _branch_and_bound(adj: tuple[int, ...], weights: Sequence[int], comp: int, odd: bool) -> int:
     best = _greedy(adj, weights, comp)
     if odd:
         parts = _odd_cycle_parts(adj, comp)
@@ -372,7 +375,7 @@ def alpha_bar(g: WeightedGraph) -> AlphaResult:
     if g.n > MWIS_CAP:
         raise SizeCapExceeded(f"search too large: {g.n} vertices exceeds cap {MWIS_CAP}")
     n = g.n
-    weights, scale = _integer_measures(g.measures)
+    weights = g.weights
     ranked = [w << n | 1 << (n - 1 - v) for v, w in enumerate(weights)]
     best = _max_weight(g.adj, ranked, g.full_mask)
     value = best >> n
@@ -382,12 +385,11 @@ def alpha_bar(g: WeightedGraph) -> AlphaResult:
     taken = sum(weights[v] for v in iter_bits(witness))
     if taken != value or not is_independent(g, witness):
         raise AssertionError("canonical witness failed to attain the optimum")
-    return AlphaResult(Fraction(value, scale), witness)
+    return AlphaResult(Fraction(value, g.scale), witness)
 
 
 def _alpha_value(g: WeightedGraph) -> Fraction:
-    weights, scale = _integer_measures(g.measures)
-    return Fraction(_max_weight(g.adj, weights, g.full_mask), scale)
+    return Fraction(_max_weight(g.adj, g.weights, g.full_mask), g.scale)
 
 
 def _odd_cover_settles(g: WeightedGraph, alpha: Fraction) -> bool:
@@ -411,8 +413,8 @@ def _odd_cover_settles(g: WeightedGraph, alpha: Fraction) -> bool:
         if not free:
             return True
         start = (free & -free).bit_length() - 1
-        level = g.measures[start]
-        same = sum(1 << v for v in iter_bits(free) if g.measures[v] == level)
+        level = g.weights[start]
+        same = sum(1 << v for v in iter_bits(free) if g.weights[v] == level)
         return extend(start, start, 1, free & ~(1 << start), same)
 
     def extend(start: int, last: int, length: int, free: int, same: int) -> bool:
@@ -452,9 +454,9 @@ def alpha_sequence(
     would mean a bug in the search and raises immediately.
 
     ``_ceiling`` is for the classifier, which knows that no power exceeds
-    1/2 when no set is violating: a term that reaches it ends the
-    sequence there, and the caller fills in the later terms, which all
-    equal it.
+    1/2 when no set is violating: as the sequence is nondecreasing, once a
+    term reaches it every later term equals it, and they are filled in
+    without building a power, up to the size cap.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -464,8 +466,7 @@ def alpha_sequence(
         if g.n**k > MWIS_CAP:
             return AlphaSequence(tuple(terms), True)
         if k == 2 and _odd_cover_settles(g, terms[0]):
-            fits = default_power_cap(g.n)
-            return AlphaSequence((terms[0],) * min(n_max, fits), fits < n_max)
+            return _constant_tail(terms, g.n, n_max)
         # The base first is the cheap factor order (see tensor_product).
         power = g if power is None else tensor_product(g, power)
         value = _alpha_value(power)
@@ -475,5 +476,16 @@ def alpha_sequence(
             )
         terms.append(value)
         if value == _ceiling:
-            break
+            return _constant_tail(terms, g.n, n_max)
     return AlphaSequence(tuple(terms), False)
+
+
+def _constant_tail(terms: list[Fraction], vertex_count: int, n_max: int) -> AlphaSequence:
+    """``terms`` with its last term repeated up to power ``n_max``.
+
+    The fill stops at ``default_power_cap`` when that is lower, and the
+    sequence is then truncated.
+    """
+    fits = default_power_cap(vertex_count)
+    tail = [terms[-1]] * (min(n_max, fits) - len(terms))
+    return AlphaSequence(tuple(terms + tail), fits < n_max)

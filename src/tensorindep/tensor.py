@@ -20,19 +20,20 @@ dividing h.n) and multiplied by ``h``'s row. That costs a string of
 g.n * h.n / k digits per row of ``g`` and no loop over its bits; when
 h.n is at most 5, k = h.n and the string is ``bin`` of the row itself.
 
-Product measures are integer numerators over one common denominator,
-and each distinct value becomes a ``Fraction`` once.
+A product's weights are the products of its factors' integer weights
+over the product of their scales (see ``graphs.WeightedGraph``). As each
+factor's scale is the sum of its weights, so is the product's, and no
+``Fraction`` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, _integer_measures, iter_bits
+from .graphs import WeightedGraph, iter_bits
 
 #: Largest vertex count a product or power will materialize.
 MATERIALIZATION_CAP = 10**6
@@ -50,11 +51,11 @@ def tensor_product(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
         raise SizeCapExceeded(
             f"power too large: {n} vertices exceeds cap {MATERIALIZATION_CAP}"
         )
-    g_num, g_den = _integer_measures(g.measures)
-    h_num, h_den = _integer_measures(h.measures)
-    measures = _fractions([a * b for a in g_num for b in h_num], g_den * h_den)
+    weights = tuple([a * b for a in g.weights for b in h.weights])
     labels = tuple([f"({a},{b})" for a in g.labels for b in h.labels])
-    return WeightedGraph._from_parts(labels, measures, tuple(_rows(g.adj, h.adj)))
+    return WeightedGraph._from_parts(
+        labels, weights, g.scale * h.scale, tuple(_rows(g.adj, h.adj))
+    )
 
 
 def _rows(g_adj: Sequence[int], h_adj: Sequence[int]) -> list[int]:
@@ -89,12 +90,6 @@ def _rows(g_adj: Sequence[int], h_adj: Sequence[int]) -> list[int]:
             spread = int(pad.join(digits) if pad else digits, 2**k)
             adj.extend([spread * s for s in h_adj])
     return adj
-
-
-def _fractions(numerators: list[int], den: int) -> tuple[Fraction, ...]:
-    # One Fraction per distinct value, shared by every vertex that carries it.
-    fraction = {q: Fraction(q, den) for q in set(numerators)}
-    return tuple(map(fraction.__getitem__, numerators))
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,11 @@ def power_adjacent(view: TensorPowerView, a: Sequence[int], b: Sequence[int]) ->
 
 
 def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
-    """Iterated tensor product of ``n`` copies of ``g``; identity at n=1."""
+    """Iterated tensor product of ``n`` copies of ``g``; identity at n=1.
+
+    The rows and weights are built base first, as g x g^(k-1) for k up to
+    n (module docstring), and the graph itself once, with flat labels.
+    """
     if n < 1:
         raise ValueError("power must be positive")
     if g.n**n > MATERIALIZATION_CAP:
@@ -154,13 +153,15 @@ def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
         )
     if n == 1:
         return g
-    power = g
+    adj: Sequence[int] = g.adj
+    weights: Sequence[int] = g.weights
     for _ in range(n - 1):
-        power = tensor_product(g, power)
-    # Flatten the nested product labels into one coordinate tuple; product()
-    # enumerates the tuples in the same mixed-radix order as the indices.
+        adj = _rows(g.adj, adj)
+        weights = [a * b for a in g.weights for b in weights]
+    # product() enumerates the coordinate tuples in the same mixed-radix
+    # order as the indices.
     labels = tuple("(" + ",".join(t) + ")" for t in product(g.labels, repeat=n))
-    return WeightedGraph._from_parts(labels, power.measures, power.adj)
+    return WeightedGraph._from_parts(labels, tuple(weights), g.scale**n, tuple(adj))
 
 
 def projection_hom(view: TensorPowerView, keep: Iterable[int]) -> list[int]:

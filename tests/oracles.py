@@ -7,7 +7,6 @@ flow, or descriptor internals, only the elementary set operations.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -126,8 +125,8 @@ def reference_max_flow(net) -> tuple[Fraction, dict[tuple[int, int], Fraction], 
     in the final residual network. The optimized search must return the
     same value, the same flow on every arc and the same cut.
     """
-    scale = math.lcm(*(c.denominator for _, _, c in net.arcs)) if net.arcs else 1
-    caps = [c.numerator * (scale // c.denominator) for _, _, c in net.arcs]
+    scale = net.scale
+    caps = [c for _, _, c in net.arcs]
     node_count = net.graph_nodes + 2
     # Forward arc i and its reverse live at graph[u][..] entries [v, cap, rev].
     graph: list[list[list[int]]] = [[] for _ in range(node_count)]

@@ -436,6 +436,12 @@ class TestVerifyHomCommand:
         assert main(["verify-hom", k2, k2, str(bad)]) == 2
         assert "cannot read map file" in capsys.readouterr().err
 
+    def test_deeply_nested_map_exits_2(self, fixture_file, capsys):
+        k2 = fixture_file("k2.json", K2_JSON)
+        deep = fixture_file("deep.json", "[" * 100_000 + "]" * 100_000)
+        assert main(["verify-hom", k2, k2, deep]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read map file")
+
 
 # Fragments of both input formats, the values that once escaped the
 # parsers (an exponent literal, a 5000-digit integer, 20,000-deep nesting)

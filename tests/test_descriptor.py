@@ -270,8 +270,10 @@ class TestSerialization:
 
     def test_bad_target_rejected(self, k2):
         cover = build_double_cover(k2)
-        with pytest.raises(ValueError, match="invalid interval piece"):
-            interval_hom_from_json([{"lo": "0/1", "hi": "1/2", "target": "nope"}], cover)
+        # An unknown target, and entries that are not objects at all.
+        for data in ([{"lo": "0/1", "hi": "1/2", "target": "nope"}], [["x"]], ["s"], [None]):
+            with pytest.raises(ValueError, match="invalid interval piece"):
+                interval_hom_from_json(data, cover)
 
 
 class TestVerifyFiniteHom:

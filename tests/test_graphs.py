@@ -11,6 +11,7 @@ from tensorindep import (
     SizeCapExceeded,
     WeightedGraph,
     bipartition,
+    build_double_cover,
     complete_graph,
     cycle_graph,
     is_independent,
@@ -21,6 +22,8 @@ from tensorindep import (
     neighborhood,
     path_graph,
     star_graph,
+    tensor_power,
+    tensor_product,
 )
 
 from conftest import cyclic_garbage, measured_graphs
@@ -55,6 +58,25 @@ class TestConstruction:
         g = path_graph(2)
         with pytest.raises(AttributeError):
             g.labels = ("x", "y")
+
+    @given(measured_graphs(max_vertices=4), measured_graphs(max_vertices=3), st.integers(1, 3))
+    def test_integer_weights_over_the_least_scale(self, g, h, k):
+        # However a graph is made, its measure is integer weights over a
+        # scale equal to their sum, and equal measures compare equal.
+        made = [
+            g,
+            tensor_product(g, h),
+            tensor_power(h, k),
+            build_double_cover(g),
+            g.relabeled([f"x{i}" for i in range(g.n)]),
+        ]
+        for x in made:
+            assert isinstance(x.weights, tuple)
+            assert x.scale == sum(x.weights)
+            assert x.measures == tuple(Fraction(w, x.scale) for w in x.weights)
+            rebuilt = WeightedGraph(x.measures, x.edges(), x.labels)
+            assert rebuilt == x
+            assert hash(rebuilt) == hash(x)
 
 
 class TestNeighborhood:

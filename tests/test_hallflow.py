@@ -32,11 +32,14 @@ HALF = Fraction(1, 2)
 
 
 def flow_is_internally_consistent(net, result):
-    """Conservation, capacity bounds, and the min-cut certificate."""
+    """Conservation, capacity bounds, and the min-cut certificate.
+
+    Arc capacities are integers over ``net.scale``.
+    """
     inflow = {}
     outflow = {}
     for (u, v), f in result.flows.items():
-        cap = next(c for (a, b, c) in net.arcs if (a, b) == (u, v))
+        cap = next(Fraction(c, net.scale) for (a, b, c) in net.arcs if (a, b) == (u, v))
         assert 0 <= f <= cap
         outflow[u] = outflow.get(u, Fraction(0)) + f
         inflow[v] = inflow.get(v, Fraction(0)) + f
@@ -47,7 +50,7 @@ def flow_is_internally_consistent(net, result):
     # Cut capacity equals the flow value (max-flow equals min-cut).
     cut = set(iter_bits(result.cut_source_side)) | {net.source}
     capacity = sum(
-        c for (u, v, c) in net.arcs if u in cut and v not in cut
+        Fraction(c, net.scale) for (u, v, c) in net.arcs if u in cut and v not in cut
     )
     assert capacity == result.value
     # The cut is the inclusion-minimal one: exactly the nodes the source
@@ -59,7 +62,7 @@ def flow_is_internally_consistent(net, result):
         node = frontier.pop()
         for u, v, c in net.arcs:
             f = result.flows[(u, v)]
-            for a, b, residual in ((u, v, c - f), (v, u, f)):
+            for a, b, residual in ((u, v, Fraction(c, net.scale) - f), (v, u, f)):
                 if a == node and residual > 0 and b not in reached:
                     reached.add(b)
                     frontier.append(b)
