@@ -32,7 +32,7 @@ from .descriptor import build_descriptor, interval_hom_to_json, verify_finite_ho
 from .errors import SaturationRequired, SizeCapExceeded
 from .graphs import WeightedGraph, iter_bits, mask_from
 from .mwis import MWIS_CAP, alpha_bar, alpha_sequence, default_power_cap
-from .tensor import tensor_power
+from .tensor import _power_exceeds, tensor_power
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -297,7 +297,7 @@ def cmd_alpha(args) -> int:
     g = load_graph(args.path)
     if args.power < 1:
         raise DocumentError("--power must be positive")
-    if g.n**args.power > MWIS_CAP:
+    if _power_exceeds(g.n, args.power, MWIS_CAP):
         raise SizeCapExceeded(
             f"search too large: {g.n}**{args.power} vertices exceeds cap {MWIS_CAP}"
         )

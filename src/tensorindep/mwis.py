@@ -11,6 +11,13 @@ of branching. It runs on the graph's integer weights, its measures over
 one common denominator, so the whole search stays in arbitrary-precision
 integers and the optimum is exact.
 
+The search is one loop over an explicit stack of (candidates, weight
+taken) pairs, the include child on top, so the interpreter's stack does
+not grow with the depth of the search. When a branch's candidates fall
+apart, the side with at most half of them is solved exactly in a nested
+search and the other side stays in the loop; nested searches are
+therefore fewer than log2(MWIS_CAP) = 12 deep, whatever the input.
+
 On a triangle-free graph the clique cover is a cover by edges and cannot
 bound below about half the weight, while an odd cycle of length L holds
 at most (L-1)/2 of its L vertices. So each component with an odd cycle
@@ -50,7 +57,6 @@ alpha(g) equals that bound, the nondecreasing sequence is constant.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -61,9 +67,6 @@ from .tensor import tensor_product
 
 #: Largest vertex count the independent-set search accepts.
 MWIS_CAP = 4096
-
-# The exclude branch can recurse once per vertex; leave room at the cap.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * MWIS_CAP))
 
 # Path extensions the cycle-cover search may make before alpha_sequence
 # falls back to searching the powers; a count, so runs stay deterministic.
@@ -310,12 +313,15 @@ def _branch_and_bound(adj: tuple[int, ...], weights: Sequence[int], comp: int, o
         if parts and _partition_bound(adj, weights, parts, comp) <= best:
             return best
 
-    def search(cand: int, current: int) -> None:
-        nonlocal best
+    # Depth first over (candidates, weight taken so far). The exclude child
+    # is pushed first, so the include subtree is searched first.
+    stack = [(comp, 0)]
+    while stack:
+        cand, current = stack.pop()
         if current > best:
             best = current
         if not cand:
-            return
+            continue
         # One scan: isolated vertices and the max-degree pivot.
         isolated_weight = 0
         live = cand
@@ -332,34 +338,35 @@ def _branch_and_bound(adj: tuple[int, ...], weights: Sequence[int], comp: int, o
         if pivot < 0:
             if current + isolated_weight > best:
                 best = current + isolated_weight
-            return
+            continue
         if isolated_weight:
             current += isolated_weight
             cand = live
             if current > best:
                 best = current
         if current + _cover_bound(adj, weights, cand) <= best:
-            return
+            continue
         if pivot_degree <= 2:
             current += _paths_and_cycles_max(adj, weights, cand)
             if current > best:
                 best = current
-            return
-        # Detached parts are strictly smaller subproblems; solve them
-        # exactly and keep branching on the pivot's component.
+            continue
+        # Detached parts are strictly smaller subproblems. The side with at
+        # most half the vertices is solved exactly in a nested search, so
+        # searches nest fewer than log2(MWIS_CAP) deep; the other side
+        # stays in this one.
         piece, _ = _component_of(adj, cand, 1 << pivot)
         if piece != cand:
-            current += _max_weight(adj, weights, cand & ~piece)
+            rest = cand & ~piece
+            if 2 * piece.bit_count() <= cand.bit_count():
+                stack.append((rest, current + _max_weight(adj, weights, piece)))
+                continue
+            current += _max_weight(adj, weights, rest)
             if current > best:
                 best = current
             cand = piece
-        search(cand & ~(adj[pivot] | (1 << pivot)), current + weights[pivot])
-        search(cand & ~(1 << pivot), current)
-
-    search(comp, 0)
-    # search refers to itself through its closure; dropping the name frees
-    # it, and the power's rows it holds, without waiting for the collector.
-    del search
+        stack.append((cand & ~(1 << pivot), current))
+        stack.append((cand & ~(adj[pivot] | (1 << pivot)), current + weights[pivot]))
     return best
 
 

@@ -139,6 +139,22 @@ def power_adjacent(view: TensorPowerView, a: Sequence[int], b: Sequence[int]) ->
     return all(adj[x] >> y & 1 for x, y in zip(a, b))
 
 
+def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """Whether ``base ** exponent`` exceeds ``cap``, for ``exponent >= 1``.
+
+    The product stops growing once it passes the cap, so a huge exponent
+    costs at most about log2(cap) multiplications, not a huge integer.
+    """
+    if base < 2:
+        return base > cap
+    size = 1
+    for _ in range(exponent):
+        size *= base
+        if size > cap:
+            return True
+    return False
+
+
 def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
     """Iterated tensor product of ``n`` copies of ``g``; identity at n=1.
 
@@ -147,7 +163,7 @@ def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
     """
     if n < 1:
         raise ValueError("power must be positive")
-    if g.n**n > MATERIALIZATION_CAP:
+    if _power_exceeds(g.n, n, MATERIALIZATION_CAP):
         raise SizeCapExceeded(
             f"power too large: {g.n}**{n} vertices exceeds cap {MATERIALIZATION_CAP}"
         )

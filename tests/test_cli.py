@@ -359,6 +359,20 @@ class TestAlphaCommand:
         # 5^6 = 15625 vertices, over MWIS_CAP: refused before the power is built.
         assert main(["alpha", path, "--power", "6"]) == 3
 
+    def test_huge_power_exits_3_at_once(self):
+        # The cap is checked without building 3**100000000.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorindep", "alpha", str(DEMO_DATA / "triangle.json"),
+             "--power", "100000000"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "search too large: 3**100000000 vertices exceeds cap 4096" in proc.stderr
+
 
 class TestDescriptorCommand:
     def test_k2_pieces(self, fixture_file, capsys):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -66,6 +70,26 @@ class TestAlphaBar:
         assert alpha_bar(g).witness == 0b11
         h = WeightedGraph([Fraction(0), Fraction(1)], [(0, 1)])
         assert alpha_bar(h).witness == 0b10
+
+    def test_deep_search_needs_no_deep_stack(self):
+        # A path of 300 triangles, vertex 3i joined to 3i + 3: every branch
+        # peels a few triangles off one end, so the search runs hundreds of
+        # levels deep and must not take a stack frame for each.
+        edges = []
+        for a in range(0, 900, 3):
+            edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+            if a + 3 < 900:
+                edges.append((a, a + 3))
+        g = WeightedGraph([Fraction(1, 900)] * 900, edges)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            result = alpha_bar(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.value == Fraction(1, 3)
+        assert is_independent(g, result.witness)
+        assert measure_of(g, result.witness) == Fraction(1, 3)
 
     def test_cap_signal(self):
         with pytest.raises(SizeCapExceeded, match="search too large"):
@@ -136,8 +160,9 @@ class TestAlphaSequence:
             alpha_sequence(c5, 0)
 
     def test_searches_leave_no_cyclic_garbage(self, k2_biased, c5, p3):
-        # Each search frees its closures, and the power rows they hold, on
-        # return rather than at the next run of the cycle collector.
+        # The odd-cover search frees its closures, and the power rows the
+        # searches hold, on return rather than at the next run of the cycle
+        # collector.
         p3_fifth = tensor_power(p3, 5)
 
         def run():
@@ -446,3 +471,22 @@ class TestVertexTransitiveStability:
     def test_petersen_like_complete_k4(self):
         k4 = complete_graph(4)
         assert alpha_bar(tensor_power(k4, 2)).value == Fraction(1, 4)
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); "
+        "import tensorindep, tensorindep.cli; "
+        "print(before, sys.getrecursionlimit())"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after

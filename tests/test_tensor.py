@@ -168,6 +168,9 @@ class TestTensorPower:
     def test_cap_signal(self, c5):
         with pytest.raises(SizeCapExceeded, match="power too large"):
             tensor_power(c5, 9)
+        # A huge exponent is refused without building 5**100000000.
+        with pytest.raises(SizeCapExceeded, match=r"5\*\*100000000 vertices exceeds"):
+            tensor_power(c5, 10**8)
 
 
 class TestPowerView:
