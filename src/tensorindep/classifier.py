@@ -170,20 +170,14 @@ def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
     )
 
 
-def lower_bound_sequence(
-    g: WeightedGraph,
-    independent: int,
-    count: int,
-    seed: Optional[Fraction] = None,
-) -> BoundSequence:
+def lower_bound_sequence(g: WeightedGraph, independent: int, count: int) -> BoundSequence:
     """Affine recursion of lower bounds seeded by an independent set.
 
     With I the given set, U the vertices outside I and N(I), and m_k the
     independence measure of the k-th power, m_k >= mu(I) + mu(U) m_{k-1}:
     prepend I on the first coordinate or continue an optimal set of the
-    remaining power over U. terms[0] defaults to mu(I), and term k then
-    lower-bounds m_{k+1}; the recursion converges to
-    mu(I) / (mu(I) + mu(N(I))).
+    remaining power over U. terms[0] is mu(I), and term k lower-bounds
+    m_{k+1}; the recursion converges to mu(I) / (mu(I) + mu(N(I))).
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -196,7 +190,7 @@ def lower_bound_sequence(
     if mu_i + mu_ni == 0:
         raise ValueError("set and neighborhood both have measure zero; limit undefined")
     mu_u = 1 - mu_i - mu_ni
-    terms = [seed if seed is not None else mu_i]
+    terms = [mu_i]
     for _ in range(count - 1):
         terms.append(mu_i + mu_u * terms[-1])
     return BoundSequence(tuple(terms), mu_i / (mu_i + mu_ni))

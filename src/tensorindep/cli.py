@@ -202,7 +202,8 @@ def build_report(
 
     lower_bound_json = None
     if seed_set is not None:
-        bounds = lower_bound_sequence(g, seed_set, n_max)
+        # One bound per power the alpha sequence covers, not n_max of them.
+        bounds = lower_bound_sequence(g, seed_set, max(1, len(terms)))
         lower_bound_json = {
             "set": _ids_of(g, seed_set),
             "terms": [_frac_str(t) for t in bounds.terms],
@@ -355,7 +356,9 @@ def cmd_verify_hom(args) -> int:
     return EXIT_VERIFICATION
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="tensorindep",
         description="Exact independence analysis of tensor graph powers.",
@@ -383,11 +386,6 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return make_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit code.
 
@@ -397,7 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     into this module's namespace later (a tracer's wrapper, say) is the
     one that runs.
     """
-    args = _parser().parse_args(argv)
+    args = make_parser().parse_args(argv)
     handler = {
         "analyze": cmd_analyze,
         "alpha": cmd_alpha,

@@ -45,25 +45,29 @@ difference; among the sets of maximum measure they rank the one that
 prefers inclusion of lower-indexed vertices, vertex 0 first. The optimum then encodes both results: its
 high part is the value and its low n bits spell out the witness.
 
-``alpha_sequence`` skips the power searches when an odd cycle cover
-settles the answer. Let sigma be a permutation of the vertices with
-v ~ sigma(v), whose cycles all have odd lengths of at least 3 dividing
-an odd L, and with the measure constant on each cycle. Applied to every
-coordinate at once, sigma splits g^n into odd cycles of lengths dividing
-L that carry a constant measure, and an independent set takes at most
-(L-1)/(2L) of each, so alpha(g^n) <= (L-1)/(2L) for every n. When
-alpha(g) equals that bound, the nondecreasing sequence is constant.
+``alpha_sequence`` searches the rows and weights that ``tensor._powers``
+builds and builds no graph for a power. It fixes its last power before
+any search, so a base over ``MWIS_CAP`` has not even power 1 searched,
+and one rule fills the last term up to it once a term reaches a ceiling
+(1 by default) or an odd cycle cover settles the answer. Let sigma be a
+permutation of the vertices with v ~ sigma(v), whose cycles all have odd
+lengths of at least 3 dividing an odd L, and with the measure constant
+on each cycle. Applied to every coordinate at once, sigma splits g^n into
+odd cycles of lengths dividing L that carry a constant measure, and an
+independent set takes at most (L-1)/(2L) of each, so alpha(g^n) <=
+(L-1)/(2L) for every n. When alpha(g) equals that bound, the
+nondecreasing sequence is constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import SizeCapExceeded
 from .graphs import WeightedGraph, is_independent, iter_bits, mask_from
-from .tensor import tensor_product
+from .tensor import _powers
 
 #: Largest vertex count the independent-set search accepts.
 MWIS_CAP = 4096
@@ -395,10 +399,6 @@ def alpha_bar(g: WeightedGraph) -> AlphaResult:
     return AlphaResult(Fraction(value, g.scale), witness)
 
 
-def _alpha_value(g: WeightedGraph) -> Fraction:
-    return Fraction(_max_weight(g.adj, g.weights, g.full_mask), g.scale)
-
-
 def _odd_cover_settles(g: WeightedGraph, alpha: Fraction) -> bool:
     """Whether an odd cycle cover of ``g`` proves alpha(g^n) = ``alpha`` for all n.
 
@@ -444,55 +444,38 @@ def _odd_cover_settles(g: WeightedGraph, alpha: Fraction) -> bool:
 
 
 def alpha_sequence(
-    g: WeightedGraph, n_max: int, *, _ceiling: Optional[Fraction] = None
+    g: WeightedGraph, n_max: int, *, _ceiling: Fraction = Fraction(1)
 ) -> AlphaSequence:
     """Exact values for g^1 .. g^n_max, stopping early at the size cap.
 
-    Power 1 is always searched. When n_max >= 2, g^2 fits in
-    ``MWIS_CAP``, alpha(g) < 1/2, L = 1/(1 - 2 alpha(g)) is an odd integer
-    and g has a cycle cover with cycle lengths of at least 3 dividing L
-    and the measure constant on each cycle, then alpha(g^n) <= (L-1)/(2L)
-    = alpha(g) for every n (module docstring), and the remaining terms are
-    alpha(g) without building or searching any power. Either way a power
-    of more than ``MWIS_CAP`` vertices ends the sequence with
-    ``truncated=True``.
-
-    The sequence is checked to be nondecreasing on every run; a decrease
-    would mean a bug in the search and raises immediately.
-
-    ``_ceiling`` is for the classifier, which knows that no power exceeds
-    1/2 when no set is violating: as the sequence is nondecreasing, once a
-    term reaches it every later term equals it, and they are filled in
-    without building a power, up to the size cap.
+    The last power is fixed before any search: ``n_max`` for a one-vertex
+    base, 0 when g has more than ``MWIS_CAP`` vertices, and otherwise at
+    most ``default_power_cap(g.n)``; the sequence is ``truncated`` when it
+    is below ``n_max``. The searches end at a term equal to ``_ceiling``
+    (1 by default; the classifier passes 1/2 when no set is violating),
+    which no power exceeds, or after power 1 when an odd cycle cover
+    proves alpha(g^n) <= alpha(g) (module docstring). One fill then
+    repeats the last term up to the last power, as the sequence is
+    nondecreasing; a decrease would mean a bug in the search and raises.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    if g.n == 1:
+        last = n_max
+    elif g.n > MWIS_CAP:
+        last = 0
+    else:
+        last = min(n_max, default_power_cap(g.n))
     terms: list[Fraction] = []
-    power = None
-    for k in range(1, n_max + 1):
-        if g.n**k > MWIS_CAP:
-            return AlphaSequence(tuple(terms), True)
-        if k == 2 and _odd_cover_settles(g, terms[0]):
-            return _constant_tail(terms, g.n, n_max)
-        # The base first is the cheap factor order (see tensor_product).
-        power = g if power is None else tensor_product(g, power)
-        value = _alpha_value(power)
+    # zip asks the range first, so no power past ``last`` is built.
+    for k, (adj, weights) in zip(range(1, last + 1), _powers(g)):
+        value = Fraction(_max_weight(adj, weights, (1 << len(adj)) - 1), g.scale**k)
         if terms and value < terms[-1]:
             raise AssertionError(
                 f"independence measure decreased from {terms[-1]} to {value} at power {k}"
             )
         terms.append(value)
-        if value == _ceiling:
-            return _constant_tail(terms, g.n, n_max)
-    return AlphaSequence(tuple(terms), False)
-
-
-def _constant_tail(terms: list[Fraction], vertex_count: int, n_max: int) -> AlphaSequence:
-    """``terms`` with its last term repeated up to power ``n_max``.
-
-    The fill stops at ``default_power_cap`` when that is lower, and the
-    sequence is then truncated.
-    """
-    fits = default_power_cap(vertex_count)
-    tail = [terms[-1]] * (min(n_max, fits) - len(terms))
-    return AlphaSequence(tuple(terms + tail), fits < n_max)
+        if value == _ceiling or k == 1 < last and _odd_cover_settles(g, value):
+            break
+    terms += terms[-1:] * (last - len(terms))
+    return AlphaSequence(tuple(terms), last < n_max)

@@ -24,13 +24,18 @@ A product's weights are the products of its factors' integer weights
 over the product of their scales (see ``graphs.WeightedGraph``). As each
 factor's scale is the sum of its weights, so is the product's, and no
 ``Fraction`` is built.
+
+Powers are built in one place: ``_powers`` yields the rows and weights of
+g, g^2, g^3, ... base first. ``tensor_power`` takes its n-th item and adds
+the labels; ``mwis.alpha_sequence`` searches each item as it comes and
+builds no graph for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Sequence
+from itertools import islice, product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapExceeded
 from .graphs import WeightedGraph, iter_bits
@@ -155,11 +160,25 @@ def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
     return False
 
 
+def _powers(g: WeightedGraph) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
+    """Adjacency rows and integer weights of g, g^2, g^3, ... in turn.
+
+    Each power is built base first, as g x g^(k-1) (module docstring), and
+    only when it is asked for; the weights of g^k are over ``g.scale**k``.
+    """
+    adj: Sequence[int] = g.adj
+    weights: Sequence[int] = g.weights
+    while True:
+        yield adj, weights
+        adj = _rows(g.adj, adj)
+        weights = [a * b for a in g.weights for b in weights]
+
+
 def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
     """Iterated tensor product of ``n`` copies of ``g``; identity at n=1.
 
-    The rows and weights are built base first, as g x g^(k-1) for k up to
-    n (module docstring), and the graph itself once, with flat labels.
+    The rows and weights come from ``_powers``, and the graph is built
+    once, with flat labels.
     """
     if n < 1:
         raise ValueError("power must be positive")
@@ -169,11 +188,7 @@ def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
         )
     if n == 1:
         return g
-    adj: Sequence[int] = g.adj
-    weights: Sequence[int] = g.weights
-    for _ in range(n - 1):
-        adj = _rows(g.adj, adj)
-        weights = [a * b for a in g.weights for b in weights]
+    adj, weights = next(islice(_powers(g), n - 1, None))
     # product() enumerates the coordinate tuples in the same mixed-radix
     # order as the indices.
     labels = tuple("(" + ",".join(t) + ")" for t in product(g.labels, repeat=n))

@@ -154,6 +154,24 @@ class TestAnalyze:
         assert report["lower_bound"]["set"] == ["u", "w"]
         assert report["lower_bound"]["closed_form_limit"] == "2/3"
 
+    @pytest.mark.parametrize("seed_set", ["u", "u,w"])
+    def test_lower_bounds_stop_with_the_alpha_sequence(self, seed_set):
+        # P3^8 is over MWIS_CAP, so both lists end at power 7: a huge
+        # --max-power asks for no more bounds than the sequence has terms.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorindep", "analyze", str(DEMO_DATA / "p3_path.json"),
+             "--max-power", "100000000", "--seed-independent-set", seed_set],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert proc.returncode == 3, proc.stderr
+        report = json.loads(proc.stdout)
+        assert len(report["alpha_sequence"]) == 7
+        assert len(report["lower_bound"]["terms"]) == 7
+
     def test_dependent_seed_set_exits_2(self, fixture_file, capsys):
         path = fixture_file("p3.json", P3_JSON)
         assert main(["analyze", path, "--seed-independent-set", "u,v"]) == 2

@@ -25,12 +25,11 @@ from tensorindep import (
     path_graph,
     star_graph,
     tensor_power,
-    tensor_product,
 )
 from tensorindep import mwis
 from tensorindep.cli import load_graph
 from tensorindep.graphs import _integer_measures
-from tensorindep.mwis import MWIS_CAP, _alpha_value
+from tensorindep.mwis import MWIS_CAP
 
 from conftest import cyclic_garbage, measured_graphs
 from oracles import all_uniform_graphs, brute_alpha, brute_alpha_value_int, random_measured_graph
@@ -135,6 +134,18 @@ class TestAlphaBar:
             assert alpha_bar(g).value == expected
 
 
+def _refuse_powers(monkeypatch) -> None:
+    """Make alpha_sequence fail if it asks for any power past g itself."""
+    powers = mwis._powers
+
+    def refuse(g):
+        items = powers(g)
+        yield next(items)  # g itself, nothing built
+        raise AssertionError("power 2 built")
+
+    monkeypatch.setattr(mwis, "_powers", refuse)
+
+
 class TestAlphaSequence:
     def test_c5(self, c5):
         assert alpha_sequence(c5, 2).terms == (Fraction(2, 5), Fraction(2, 5))
@@ -159,6 +170,35 @@ class TestAlphaSequence:
         with pytest.raises(ValueError):
             alpha_sequence(c5, 0)
 
+    def test_no_graph_is_built(self, monkeypatch, p3, k2_biased):
+        # The powers are searched as rows and weights, with no labels.
+        def refuse(*args):
+            raise AssertionError("WeightedGraph built")
+
+        monkeypatch.setattr(WeightedGraph, "_from_parts", refuse)
+        assert alpha_sequence(p3, 5).terms == tuple(
+            Fraction(t) for t in ("2/3", "2/3", "20/27", "20/27", "64/81")
+        )
+        seq = alpha_sequence(k2_biased, 12)
+        assert len(seq.terms) == 12 and seq.terms[-1] == Fraction(640, 729)
+
+    def test_one_vertex_base_ends_after_power_one(self, monkeypatch):
+        # A term of 1 is the default ceiling; the rest is filled, not searched.
+        g = WeightedGraph([Fraction(1)], [])
+        _refuse_powers(monkeypatch)
+        start = time.perf_counter()
+        seq = alpha_sequence(g, 200_000)
+        assert time.perf_counter() - start < 2
+        assert seq.terms == (Fraction(1),) * 200_000
+        assert not seq.truncated
+
+    def test_edgeless_base_fills_up_to_the_cap(self, monkeypatch):
+        # 2^12 = 4096 vertices is the last power within MWIS_CAP.
+        _refuse_powers(monkeypatch)
+        seq = alpha_sequence(WeightedGraph([Fraction(1, 2)] * 2, []), 14)
+        assert seq.terms == (Fraction(1),) * 12
+        assert seq.truncated
+
     def test_searches_leave_no_cyclic_garbage(self, k2_biased, c5, p3):
         # The odd-cover search frees its closures, and the power rows the
         # searches hold, on return rather than at the next run of the cycle
@@ -179,8 +219,12 @@ class TestAlphaSequence:
         assert list(seq.terms) == sorted(seq.terms)
 
 
+def _searched_value(g: WeightedGraph) -> Fraction:
+    return Fraction(mwis._max_weight(g.adj, g.weights, g.full_mask), g.scale)
+
+
 def _searched_terms(g: WeightedGraph, k: int) -> list[Fraction]:
-    return [_alpha_value(tensor_power(g, j)) for j in range(1, k + 1)]
+    return [_searched_value(tensor_power(g, j)) for j in range(1, k + 1)]
 
 
 class TestOddCoverShortcut:
@@ -202,23 +246,24 @@ class TestOddCoverShortcut:
         [("c5", 5, Fraction(2, 5)), ("k3", 7, Fraction(1, 3)), ("c7_chord", 4, Fraction(3, 7))],
     )
     def test_no_power_is_built(self, request, monkeypatch, name, k, value):
-        def refuse(*args):
-            raise AssertionError("tensor_product called")
-
-        monkeypatch.setattr(mwis, "tensor_product", refuse)
+        _refuse_powers(monkeypatch)
         seq = alpha_sequence(request.getfixturevalue(name), k)
         assert seq.terms == (value,) * k
         assert not seq.truncated
 
     def test_search_falls_back_when_the_cover_search_runs_out(self, monkeypatch, c5):
         built = []
+        powers = mwis._powers
 
-        def counted(a, b):
-            built.append(a.n * b.n)
-            return tensor_product(a, b)
+        def counted(g):
+            items = powers(g)
+            yield next(items)  # g itself, nothing built
+            for adj, weights in items:
+                built.append(len(adj))
+                yield adj, weights
 
         monkeypatch.setattr(mwis, "_COVER_STEPS", 2)
-        monkeypatch.setattr(mwis, "tensor_product", counted)
+        monkeypatch.setattr(mwis, "_powers", counted)
         assert alpha_sequence(c5, 3).terms == (Fraction(2, 5),) * 3
         assert built == [25, 125]
 
@@ -285,7 +330,7 @@ class TestPathsAndCycles:
         weights = [1 + i % 7 for i in range(n)]
         g = _chain_graph(weights, closed)
         start = time.perf_counter()
-        value = _alpha_value(g)
+        value = _searched_value(g)
         assert time.perf_counter() - start < 1
         expected = _plain_cycle_dp(weights) if closed else _plain_path_dp(weights)
         assert value == Fraction(expected, sum(weights))
@@ -299,7 +344,7 @@ class TestPathsAndCycles:
                 brute = brute_alpha_value_int(list(g.adj), weights)
                 expected = _plain_cycle_dp(weights) if closed else _plain_path_dp(weights)
                 assert brute == expected
-                assert _alpha_value(g) == Fraction(expected, sum(weights))
+                assert _searched_value(g) == Fraction(expected, sum(weights))
                 result = alpha_bar(g)
                 assert (result.value, result.witness) == brute_alpha(g)
 
