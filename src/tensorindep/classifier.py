@@ -106,9 +106,8 @@ def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
     q = violating_set_from_flow(g, flow)
     if q is not None:
         witness = independent_witness_from_set(g, q)
-        mu_i = measure_of(g, witness)
-        mu_ni = measure_of(g, neighborhood(g, witness))
-        cert = Certificate(witness=witness, bound_limit=mu_i / (mu_i + mu_ni))
+        limit = lower_bound_sequence(g, witness, 1).closed_form_limit
+        cert = Certificate(witness=witness, bound_limit=limit)
         return LimitVerdict(
             VerdictKind.EXACT_ONE, "violating-independent-set", Fraction(1), cert, value=Fraction(1)
         )

@@ -9,13 +9,15 @@ layer computes on those integers, and strict comparisons such as "this
 set outweighs its neighborhood" are decided exactly; no float ever enters
 the arithmetic. ``measures`` is the same measure as
 :class:`fractions.Fraction` values, for display and for callers.
+
+Breadth-first search walks whole layers as bitmasks, and the automorphism
+search behind the vertex-transitivity check is one loop over a stack.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -240,27 +242,41 @@ def is_independent(g: WeightedGraph, s: int) -> bool:
     return True
 
 
-def bipartition(g: WeightedGraph) -> Optional[tuple[int, int]]:
-    """Two-color ``g`` by breadth-first search, or None on an odd cycle.
+def _layers(g: WeightedGraph) -> Iterator[tuple[int, int]]:
+    """Yield (depth, layer) for the breadth-first layers of ``g``, as bitmasks.
 
-    The lowest-indexed vertex of each connected component lands on side X.
-    Returns the pair of side masks (X, Y).
+    Each component is walked from its lowest vertex, at depth 0, and the
+    components come in the order of their lowest vertices.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in iter_bits(g.adj[u]):
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    side_x = mask_from(v for v in range(g.n) if color[v] == 0)
+    left = g.full_mask
+    while left:
+        frontier = left & -left
+        depth = 0
+        while frontier:
+            yield depth, frontier
+            left &= ~frontier
+            grown = 0
+            for v in iter_bits(frontier):
+                grown |= g.adj[v]
+            frontier = grown & left
+            depth += 1
+
+
+def bipartition(g: WeightedGraph) -> Optional[tuple[int, int]]:
+    """Two-color ``g`` by its breadth-first layers, or None on an odd cycle.
+
+    An edge joins two vertices of one layer exactly when the component
+    has an odd cycle; otherwise side X is the even layers, so the
+    lowest-indexed vertex of each component lands on X. Returns the pair
+    of side masks (X, Y).
+    """
+    side_x = 0
+    for depth, layer in _layers(g):
+        for v in iter_bits(layer):
+            if g.adj[v] & layer:
+                return None
+        if depth % 2 == 0:
+            side_x |= layer
     return side_x, g.full_mask ^ side_x
 
 
@@ -268,59 +284,35 @@ def _uniform(g: WeightedGraph) -> bool:
     return len(set(g.weights)) == 1
 
 
-def _assignment_order(g: WeightedGraph) -> list[int]:
-    # BFS order from vertex 0, restarting at the least unvisited vertex,
-    # so each new assignment is constrained by as many prior ones as possible.
-    seen = [False] * g.n
-    order: list[int] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in iter_bits(g.adj[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-    return order
-
-
 def _automorphism_onto(g: WeightedGraph, order: list[int], target: int) -> bool:
-    """Is there a graph automorphism sending ``order[0]`` to ``target``?"""
-    n = g.n
-    degree = [g.adj[v].bit_count() for v in range(n)]
-    image = [-1] * n
-    full = g.full_mask
+    """Is there a graph automorphism sending ``order[0]`` to ``target``?
 
-    def extend(k: int, used: int) -> bool:
-        if k == len(order):
+    Depth first over (images, untried): the images of a prefix of
+    ``order``, and the mask of images not yet tried for the next vertex,
+    which takes one of them at a time. An image keeps the vertex's degree
+    and its adjacency to every vertex already mapped.
+    """
+    adj = g.adj
+    of_degree: dict[int, int] = {}
+    for w, row in enumerate(adj):
+        d = row.bit_count()
+        of_degree[d] = of_degree.get(d, 0) | 1 << w
+    stack = [((), of_degree[adj[order[0]].bit_count()] & 1 << target)]
+    while stack:
+        images, untried = stack.pop()
+        if not untried:
+            continue
+        low = untried & -untried
+        stack.append((images, untried ^ low))
+        images += (low.bit_length() - 1,)
+        if len(images) == len(order):
             return True
-        v = order[k]
-        cand = full & ~used
-        for u in order[:k]:
-            if g.adj[v] >> u & 1:
-                cand &= g.adj[image[u]]
-            else:
-                cand &= ~g.adj[image[u]]
-        for w in iter_bits(cand):
-            if degree[w] != degree[v]:
-                continue
-            image[v] = w
-            if extend(k + 1, used | (1 << w)):
-                return True
-        image[v] = -1
-        return False
-
-    v0 = order[0]
-    if degree[target] != degree[v0]:
-        return False
-    image[v0] = target
-    found = extend(1, 1 << target)
-    del extend  # extend refers to itself; free it without the collector
-    return found
+        v = order[len(images)]
+        cand = of_degree[adj[v].bit_count()]
+        for u, w in zip(order, images):
+            cand &= adj[w] if adj[v] >> u & 1 else ~(adj[w] | 1 << w)
+        stack.append((images, cand))
+    return False
 
 
 def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:
@@ -330,7 +322,9 @@ def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:
     vertex transitivity coincides with the automorphism group acting
     transitively on vertices, which is what this checks. Non-uniform
     measures admit no finite verification procedure, so the answer there
-    is None rather than a guess.
+    is None rather than a guess. The automorphism search assigns the
+    vertices layer by layer, so each new image is constrained by as many
+    earlier ones as possible.
     """
     if not _uniform(g):
         return None
@@ -338,9 +332,7 @@ def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:
         raise SizeCapExceeded(
             f"transitivity check too large: {g.n} vertices exceeds cap {TRANSITIVITY_CAP}"
         )
-    if g.n == 1:
-        return True
-    order = _assignment_order(g)
+    order = [v for _, layer in _layers(g) for v in iter_bits(layer)]
     return all(_automorphism_onto(g, order, w) for w in range(1, g.n))
 
 

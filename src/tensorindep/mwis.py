@@ -56,7 +56,9 @@ on each cycle. Applied to every coordinate at once, sigma splits g^n into
 odd cycles of lengths dividing L that carry a constant measure, and an
 independent set takes at most (L-1)/(2L) of each, so alpha(g^n) <=
 (L-1)/(2L) for every n. When alpha(g) equals that bound, the
-nondecreasing sequence is constant.
+nondecreasing sequence is constant. The search for such a cover is one
+loop over an explicit stack of paths too, and gives up after
+``_COVER_STEPS`` path extensions.
 """
 
 from __future__ import annotations
@@ -366,8 +368,6 @@ def _branch_and_bound(adj: tuple[int, ...], weights: Sequence[int], comp: int, o
                 stack.append((rest, current + _max_weight(adj, weights, piece)))
                 continue
             current += _max_weight(adj, weights, rest)
-            if current > best:
-                best = current
             cand = piece
         stack.append((cand & ~(1 << pivot), current))
         stack.append((cand & ~(adj[pivot] | (1 << pivot)), current + weights[pivot]))
@@ -414,33 +414,34 @@ def _odd_cover_settles(g: WeightedGraph, alpha: Fraction) -> bool:
     if ratio.denominator != 1 or ratio.numerator % 2 == 0:
         return False
     period = ratio.numerator
-    steps = 0
-
-    def cover(free: int) -> bool:
-        if not free:
-            return True
-        start = (free & -free).bit_length() - 1
-        level = g.weights[start]
-        same = sum(1 << v for v in iter_bits(free) if g.weights[v] == level)
-        return extend(start, start, 1, free & ~(1 << start), same)
-
-    def extend(start: int, last: int, length: int, free: int, same: int) -> bool:
-        nonlocal steps
-        steps += 1
-        if steps > _COVER_STEPS:
+    adj, weights = g.adj, g.weights
+    # Depth first over (free, start, last, length, same): a path from start
+    # to last of that length, the free vertices left, and those of the
+    # cycle's measure. A state of length 0 opens a cycle at the lowest free
+    # vertex; each pass of the loop makes one path extension.
+    stack = [(g.full_mask, 0, 0, 0, 0)]
+    for _ in range(_COVER_STEPS):
+        if not stack:
             return False
-        # No self-loops and an odd period: a closable length is at least 3.
-        if period % length == 0 and g.adj[last] >> start & 1 and cover(free):
-            return True
+        free, start, last, length, same = stack.pop()
+        if not length:
+            start = last = (free & -free).bit_length() - 1
+            same = sum(1 << v for v in iter_bits(free) if weights[v] == weights[start])
+            free &= ~(1 << start)
+            length = 1
         if length < period:
-            for v in iter_bits(g.adj[last] & free & same):
-                if extend(start, v, length + 1, free & ~(1 << v), same):
-                    return True
-        return False
-
-    settled = cover(g.full_mask)
-    del cover, extend  # the closures refer to each other; free them now
-    return settled
+            grow = adj[last] & free & same
+            while grow:
+                v = grow.bit_length() - 1
+                grow ^= 1 << v
+                stack.append((free & ~(1 << v), start, v, length + 1, same))
+        # No self-loops and an odd period: a closable length is at least 3.
+        # The closing move goes on top, so it is tried first.
+        if period % length == 0 and adj[last] >> start & 1:
+            if not free:
+                return True
+            stack.append((free, 0, 0, 0, 0))
+    return False
 
 
 def alpha_sequence(

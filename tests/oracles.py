@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from tensorindep import (
     WeightedGraph,
@@ -65,6 +65,22 @@ def brute_alpha_value_int(adj: list[int], weights: list[int]) -> int:
         else:
             independent[mask] = 0
     return best
+
+
+def brute_vertex_transitive(g: WeightedGraph) -> bool:
+    """Whether the orbit of vertex 0 under all n! permutations is every vertex.
+
+    A permutation that sends each edge to an edge is an automorphism, as
+    it is a bijection on the finite edge set.
+    """
+    edges = set(g.edges())
+    orbit = {0}
+    for perm in permutations(range(g.n)):
+        if perm[0] not in orbit and all(
+            (min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges
+        ):
+            orbit.add(perm[0])
+    return len(orbit) == g.n
 
 
 def brute_violating_independent(g: WeightedGraph) -> int | None:

@@ -98,6 +98,16 @@ class TestClassify:
             assert check_interval_hom(descriptor.hom, descriptor.cover) is None
         assert classify(p3, 1).certificate.descriptor is None
 
+    def test_regular_graph_that_is_not_transitive_stays_bracketed(self):
+        # A triangle beside a 4-cycle: regular, but no automorphism maps the
+        # triangle into the 4-cycle, so the transitivity rule must not fire.
+        g = WeightedGraph(
+            [Fraction(1, 7)] * 7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+        )
+        verdict = classify(g, 2)
+        assert verdict.rule == "alpha-bracket+descriptor"
+        assert verdict.certificate.vertex_transitive is False
+
     def test_interval_when_transitivity_capped(self):
         verdict = classify(cycle_graph(17), 1)
         assert verdict.kind is VerdictKind.INTERVAL

@@ -314,6 +314,26 @@ class TestDefaultAnalyze:
         assert main(["analyze", path, "--max-power", "3", "--format", "text"]) == 0
         assert capsys.readouterr().out == WEIGHTED_C5_POWER_3_TEXT
 
+    def test_interval_verdict_in_text(self, capsys):
+        path = str(DEMO_DATA / "c7_chord.json")
+        assert main(["analyze", path, "--max-power", "2", "--format", "text"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "verdict: Interval lo=3/7 hi=1/2 rule=alpha-bracket+descriptor" in out
+
+    def test_lower_bound_in_text(self, capsys):
+        path = str(DEMO_DATA / "p3_path.json")
+        argv = ["analyze", path, "--max-power", "2", "--seed-independent-set", "u,w"]
+        assert main(argv + ["--format", "text"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "lower bound from {u, w}: 2/3, 2/3 -> 2/3" in out
+
+    def test_truncation_in_text_exits_3(self, capsys):
+        path = str(DEMO_DATA / "c5_cycle.txt")
+        assert main(["analyze", path, "--max-power", "6", "--format", "text"]) == 3
+        captured = capsys.readouterr()
+        assert "size cap hit: alpha sequence truncated" in captured.err.splitlines()
+        assert "timing: null" in captured.out.splitlines()
+
     def test_max_power_zero_exits_2(self, capsys):
         path = str(DEMO_DATA / "k2_uniform.json")
         assert main(["analyze", path, "--max-power", "0"]) == 2
@@ -367,6 +387,13 @@ class TestAlphaCommand:
         assert value == "2/5"
         labels = witness.removeprefix("witness: ").split()
         assert len(set(labels)) == len(labels) == 250
+
+    def test_power_zero_exits_2(self, capsys):
+        path = str(DEMO_DATA / "c5_cycle.txt")
+        assert main(["alpha", path, "--power", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--power must be positive" in captured.err
 
     def test_over_cap_exits_3(self, fixture_file, capsys):
         doc = {

@@ -27,6 +27,35 @@ from tensorindep import (
 )
 
 from conftest import cyclic_garbage, measured_graphs
+from oracles import brute_vertex_transitive
+
+# A triangle beside a 4-cycle, and a connected cubic graph on 8 vertices
+# with two triangles: both regular, neither vertex-transitive.
+C3_C4 = WeightedGraph(
+    [Fraction(1, 7)] * 7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+)
+CUBIC_8 = WeightedGraph(
+    [Fraction(1, 8)] * 8,
+    [(0, 1), (0, 2), (0, 6), (1, 5), (1, 7), (2, 4), (2, 6), (3, 4), (3, 6), (3, 7), (4, 5), (5, 7)],
+)
+
+
+def random_regular_graph(rng: random.Random, n: int, d: int) -> WeightedGraph:
+    """A d-regular graph on n vertices with the uniform measure.
+
+    Pairing model with rejection; a degree above half is drawn as the
+    complement of its co-degree, where rejections are rare.
+    """
+    k = min(d, n - 1 - d)
+    while True:
+        points = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(points)
+        pairs = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2])}
+        if len(pairs) == n * k // 2 and all(u != v for u, v in pairs):
+            break
+    if k < d:
+        pairs = {(u, v) for u in range(n) for v in range(u + 1, n)} - pairs
+    return WeightedGraph([Fraction(1, n)] * n, sorted(pairs))
 
 
 class TestConstruction:
@@ -191,6 +220,25 @@ class TestVertexTransitivity:
 
     def test_search_leaves_no_cyclic_garbage(self, c5):
         assert cyclic_garbage(lambda: is_vertex_transitive_uniform(c5)) == 0
+
+    @pytest.mark.parametrize("g", [C3_C4, CUBIC_8], ids=["c3_c4", "cubic_8"])
+    def test_regular_graphs_that_are_not_transitive(self, g):
+        # Every vertex has the same degree, so only backtracking can refuse.
+        assert is_vertex_transitive_uniform(g) is False
+        assert brute_vertex_transitive(g) is False
+
+    def test_matches_brute_force_on_seeded_regular_graphs(self):
+        rng = random.Random(0x5EED)
+        verdicts = []
+        for n in range(1, 8):
+            for d in range(n):
+                if n * d % 2:
+                    continue
+                for _ in range(3):
+                    g = random_regular_graph(rng, n, d)
+                    verdicts.append(is_vertex_transitive_uniform(g))
+                    assert verdicts[-1] is brute_vertex_transitive(g), sorted(g.edges())
+        assert True in verdicts and False in verdicts
 
     def test_cap_signal(self):
         g = cycle_graph(17)

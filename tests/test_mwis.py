@@ -267,6 +267,19 @@ class TestOddCoverShortcut:
         assert alpha_sequence(c5, 3).terms == (Fraction(2, 5),) * 3
         assert built == [25, 125]
 
+    @pytest.mark.parametrize("steps, settled", [(112, False), (113, True)])
+    def test_cover_search_step_count(self, monkeypatch, steps, settled):
+        # Uniform on 9 vertices with alpha 4/9, so L = 9; the cover search
+        # backtracks and closes its cover on its 113th path extension.
+        g = WeightedGraph(
+            [Fraction(1, 9)] * 9,
+            [(0, 1), (0, 6), (0, 8), (1, 2), (1, 6), (2, 4), (2, 7), (3, 5), (3, 7),
+             (3, 8), (4, 5), (4, 7), (5, 7)],
+        )
+        assert alpha_bar(g).value == Fraction(4, 9)
+        monkeypatch.setattr(mwis, "_COVER_STEPS", steps)
+        assert mwis._odd_cover_settles(g, Fraction(4, 9)) is settled
+
     @pytest.mark.parametrize(
         "edges, weights, terms",
         [
