@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .descriptor import DescriptorReport, descriptor_from_flow
@@ -37,6 +36,7 @@ from .graphs import (
     bipartition,
     is_independent,
     is_vertex_transitive_uniform,
+    iter_bits,
     measure_of,
     neighborhood,
 )
@@ -47,7 +47,7 @@ from .hallflow import (
     violating_set_from_flow,
 )
 from .mwis import AlphaSequence, alpha_sequence, default_power_cap
-from .tensor import tensor_power
+from .tensor import _nth_power
 
 
 class VerdictKind(Enum):
@@ -215,23 +215,36 @@ def majority_set_measure(p: Fraction, n: int) -> Fraction:
 def majority_witness(g: WeightedGraph, independent: int, n: int) -> int:
     """Vertices of the n-th power with more than half their coordinates inside.
 
-    The result is checked to be independent and to have measure exactly
-    equal to the binomial tail at p = mu(independent); both follow from
-    independence of the base set and the product measure, but they are
-    re-verified rather than trusted.
+    The set is built level by level as count masks: ``exactly[h]`` holds
+    the vertices of the power so far with h coordinates inside, and a new
+    leading coordinate c moves each mask up by c times the current size.
+    Both properties of the result follow from independence of the base
+    set and the product measure, but they are re-verified rather than
+    trusted: no edge of g^n, read off its adjacency rows, joins two of
+    its vertices, and its exact measure, the sum of their integer weights
+    over ``g.scale**n``, equals the binomial tail at p = mu(independent).
     """
     if not is_independent(g, independent):
         raise ValueError("set is not independent")
-    power = tensor_power(g, n)
-    member = [independent >> c & 1 for c in range(g.n)]
+    adj, weights = _nth_power(g, n)
+    exactly = [1]
+    size = 1
+    for _ in range(n):
+        grown = [0] * (len(exactly) + 1)
+        for c in range(g.n):
+            hit = independent >> c & 1
+            shift = c * size
+            for h, mask in enumerate(exactly):
+                grown[h + hit] |= mask << shift
+        exactly = grown
+        size *= g.n
     witness = 0
-    # product() enumerates coordinate tuples in power index order.
-    for index, hits in enumerate(product(member, repeat=n)):
-        if 2 * sum(hits) > n:
-            witness |= 1 << index
-    if not is_independent(power, witness):
+    for mask in exactly[n // 2 + 1 :]:
+        witness |= mask
+    members = list(iter_bits(witness))
+    if any(adj[v] & witness for v in members):
         raise AssertionError("majority set is not independent")
     expected = majority_set_measure(measure_of(g, independent), n)
-    if measure_of(power, witness) != expected:
+    if Fraction(sum([weights[v] for v in members]), g.scale**n) != expected:
         raise AssertionError("majority set measure disagrees with the binomial tail")
     return witness

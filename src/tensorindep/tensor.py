@@ -10,15 +10,22 @@ index arithmetic and keeps every construction deterministic.
 
 Adjacency rows are ``int`` bitmasks, and the product's row (gi, hj) is
 ``h``'s row hj copied into the block of h.n bits of every neighbour of
-gi. The cheap factor order puts the smaller graph first: each row is
-then the OR of deg(gi) shifted copies of one row of ``h``, so a power is
-built base first, as g x g^(n-1). With the larger factor first, those
-shifts would be one per neighbour of a long row, so the row of gi is
-instead spread to one bit per block in a single ``bin``/``int`` round
-trip (its binary digits read in base 2**k, for the largest k <= 5
-dividing h.n) and multiplied by ``h``'s row. That costs a string of
-g.n * h.n / k digits per row of ``g`` and no loop over its bits; when
-h.n is at most 5, k = h.n and the string is ``bin`` of the row itself.
+gi. The cheap factor order puts the smaller graph first, so a power is
+built base first, as g x g^(n-1). A row of ``g`` with lowest bit b is
+then its *shape* (the row shifted down by b) moved up by b blocks, and
+the rows of a shape are built once per call: ``h``'s rows, ORed with one
+shifted copy of them for each further bit of the shape. Base rows
+that are shifts of one another (a cycle, a complete graph) share one
+shape and cost one shift of each row; equal base rows (twins) share one
+list of rows, and an isolated vertex gets a block of zero rows.
+
+With the larger factor first, the shifts would be one per neighbour of a
+long row, so the row of gi is instead spread to one bit per block in a
+single ``bin``/``int`` round trip (its binary digits read in base 2**k,
+for the largest k <= 5 dividing h.n) and multiplied by ``h``'s row. That
+costs a string of g.n * h.n / k digits per row of ``g`` and no loop over
+its bits; when h.n is at most 5, k = h.n and the string is ``bin`` of
+the row itself.
 
 A product's weights are the products of its factors' integer weights
 over the product of their scales (see ``graphs.WeightedGraph``). As each
@@ -48,8 +55,9 @@ def tensor_product(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
     """Tensor product with vertices ordered lexicographically by (g, h) index.
 
     Both argument orders give the same graph up to the order of the
-    coordinates. The cheap order puts the smaller factor first: each row
-    is then deg(gi) shifts of a row of ``h`` (module docstring).
+    coordinates. The cheap order puts the smaller factor first: its rows
+    are then built once per shape from shifts of ``h``'s rows (module
+    docstring).
     """
     n = g.n * h.n
     if n > MATERIALIZATION_CAP:
@@ -69,21 +77,39 @@ def _rows(g_adj: Sequence[int], h_adj: Sequence[int]) -> list[int]:
     Row (gi, hj) holds ``h_adj[hj]`` in the block of every neighbour gj
     of gi, the block of gj being bits gj * len(h_adj) onwards; the module
     docstring says which of the two ways below suits which factor order.
-    The binary digits of gi's row, read in base 2**k with block / k - 1
-    zero digits joined between them, put one bit at the start of each
-    neighbour's block, and a row of ``h`` fits inside a block, so their
-    product does not carry.
+
+    With the smaller factor first, ``built`` maps a row of ``g`` to its
+    block of product rows. A shape (a row with bit 0 set) starts from
+    ``h_adj`` itself and ORs in one shifted copy of it per further bit; a
+    row with lowest bit b > 0 shifts its shape's block by b blocks. Equal
+    rows get the same list back; its ints are immutable, so sharing them
+    copies nothing. The table is local to the call.
+
+    With the larger factor first, the binary digits of gi's row, read in
+    base 2**k with block / k - 1 zero digits joined between them, put one
+    bit at the start of each neighbour's block, and a row of ``h`` fits
+    inside a block, so their product does not carry.
     """
     block = len(h_adj)
     adj: list[int] = []
     if len(g_adj) <= block:
+        built: dict[int, list[int]] = {0: [0] * block}
         for row in g_adj:
-            # In place, so each replaced row is freed at once.
-            rows = [0] * block
-            for gj in iter_bits(row):
-                shift = gj * block
-                for hj, s in enumerate(h_adj):
-                    rows[hj] |= s << shift
+            rows = built.get(row)
+            if rows is None:
+                low = (row & -row).bit_length() - 1
+                shape = row >> low
+                rows = built.get(shape)
+                if rows is None:
+                    rows = list(h_adj)
+                    for gj in iter_bits(shape ^ 1):
+                        shift = gj * block
+                        rows = [r | s << shift for r, s in zip(rows, h_adj)]
+                    built[shape] = rows
+                if low:
+                    shift = low * block
+                    rows = [r << shift for r in rows]
+                    built[row] = rows
             adj.extend(rows)
     else:
         # int() reads up to base 36, so take the largest k <= 5 dividing
@@ -174,11 +200,11 @@ def _powers(g: WeightedGraph) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
         weights = [a * b for a in g.weights for b in weights]
 
 
-def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
-    """Iterated tensor product of ``n`` copies of ``g``; identity at n=1.
+def _nth_power(g: WeightedGraph, n: int) -> tuple[Sequence[int], Sequence[int]]:
+    """Adjacency rows and integer weights (over ``g.scale**n``) of g^n.
 
-    The rows and weights come from ``_powers``, and the graph is built
-    once, with flat labels.
+    Refuses n < 1 and a power over ``MATERIALIZATION_CAP`` before
+    building anything.
     """
     if n < 1:
         raise ValueError("power must be positive")
@@ -186,9 +212,18 @@ def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
         raise SizeCapExceeded(
             f"power too large: {g.n}**{n} vertices exceeds cap {MATERIALIZATION_CAP}"
         )
+    return next(islice(_powers(g), n - 1, None))
+
+
+def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
+    """Iterated tensor product of ``n`` copies of ``g``; identity at n=1.
+
+    The rows and weights come from ``_powers``, and the graph is built
+    once, with flat labels.
+    """
+    adj, weights = _nth_power(g, n)
     if n == 1:
         return g
-    adj, weights = next(islice(_powers(g), n - 1, None))
     # product() enumerates the coordinate tuples in the same mixed-radix
     # order as the indices.
     labels = tuple("(" + ",".join(t) + ")" for t in product(g.labels, repeat=n))
@@ -202,6 +237,12 @@ def projection_hom(view: TensorPowerView, keep: Iterable[int]) -> list[int]:
     the kept coordinates stay in increasing position order. The returned
     list maps each source index to its image index and is always a
     measure-preserving homomorphism.
+
+    The list is built one position at a time, the last first: after
+    position p it maps the indices of coordinates p..n-1 to their image,
+    and p - 1, the next most significant, repeats that list m times, each
+    copy offset by its coordinate's place value in the image (0 when the
+    position is dropped).
     """
     kept = sorted(set(keep))
     if not kept:
@@ -211,10 +252,12 @@ def projection_hom(view: TensorPowerView, keep: Iterable[int]) -> list[int]:
     if len(kept) == view.exponent:
         raise ValueError("keep must be a proper subset of the coordinates")
     m = view.base.n
-    mapping = []
-    for coords in product(range(m), repeat=view.exponent):
-        image = 0
-        for k in kept:
-            image = image * m + coords[k]
-        mapping.append(image)
+    mapping = [0]
+    place = 1
+    for position in reversed(range(view.exponent)):
+        if position in kept:
+            mapping = [c + i for c in range(0, m * place, place) for i in mapping]
+            place *= m
+        else:
+            mapping = mapping * m
     return mapping

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from tensorindep import (
     WeightedGraph,
@@ -65,6 +65,41 @@ def brute_alpha_value_int(adj: list[int], weights: list[int]) -> int:
         else:
             independent[mask] = 0
     return best
+
+
+def reference_power_rows(adj: list[int], k: int) -> list[int]:
+    """Rows of the k-th tensor power of the graph with rows ``adj``.
+
+    Straight from the definition: the row of (c_0, ..., c_{k-1}) has a
+    bit for every tuple (d_0, ..., d_{k-1}) with each d_i a neighbour of
+    c_i, at the mixed-radix index of that tuple.
+    """
+    m = len(adj)
+    neighbours = [[d for d in range(m) if adj[c] >> d & 1] for c in range(m)]
+    rows = []
+    for coords in product(range(m), repeat=k):
+        row = 0
+        for image in product(*(neighbours[c] for c in coords)):
+            index = 0
+            for d in image:
+                index = index * m + d
+            row |= 1 << index
+        rows.append(row)
+    return rows
+
+
+def brute_majority_set(g: WeightedGraph, independent: int, n: int) -> int:
+    """Vertices of g^n with strictly more than half their coordinates in the set.
+
+    One coordinate tuple at a time; ``product`` enumerates the tuples in
+    the power's index order.
+    """
+    member = [independent >> c & 1 for c in range(g.n)]
+    witness = 0
+    for index, hits in enumerate(product(member, repeat=n)):
+        if 2 * sum(hits) > n:
+            witness |= 1 << index
+    return witness
 
 
 def brute_vertex_transitive(g: WeightedGraph) -> bool:

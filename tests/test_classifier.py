@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorindep import (
+    SizeCapExceeded,
     VerdictKind,
     WeightedGraph,
     alpha_bar,
@@ -24,12 +26,17 @@ from tensorindep import (
     tensor_power,
     violating_independent_set,
 )
-from tensorindep import classifier, mwis
+from tensorindep import classifier, mwis, tensor
 from tensorindep.classifier import default_power_cap
 from tensorindep.mwis import MWIS_CAP
 
 from conftest import measured_graphs
-from oracles import all_uniform_graphs, brute_alpha, brute_violating_any
+from oracles import (
+    all_uniform_graphs,
+    brute_alpha,
+    brute_majority_set,
+    brute_violating_any,
+)
 
 HALF = Fraction(1, 2)
 
@@ -306,3 +313,41 @@ class TestMajorityWitness:
         assert measure_of(power, witness) == majority_set_measure(
             measure_of(g, mask), n
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(measured_graphs(max_vertices=4), st.integers(0, 15), st.integers(1, 5))
+    def test_matches_brute_majority_set(self, g, mask, n):
+        # Greedy independent part of a drawn mask: the empty set and sets
+        # of zero-measure vertices are drawn too.
+        independent = 0
+        for v in range(g.n):
+            if mask >> v & 1 and not g.adj[v] & independent:
+                independent |= 1 << v
+        witness = majority_witness(g, independent, n)
+        assert witness == brute_majority_set(g, independent, n)
+
+    def test_empty_set_and_strict_majority(self, k2, p3):
+        assert [majority_witness(p3, 0, n) for n in range(1, 6)] == [0] * 5
+        # An even n needs more than n / 2 coordinates inside: on K2 with
+        # {u}, (u, v) and (v, u) have half of theirs inside and stay out.
+        assert majority_witness(k2, 0b01, 2) == 0b0001
+        assert majority_witness(k2, 0b01, 4) == brute_majority_set(k2, 0b01, 4)
+
+    def test_power_must_be_positive(self, p3):
+        with pytest.raises(ValueError, match=r"^power must be positive$"):
+            majority_witness(p3, mask_from([0, 2]), 0)
+
+    def test_oversized_power_is_refused(self):
+        message = "power too large: 5**9 vertices exceeds cap 1000000"
+        with pytest.raises(SizeCapExceeded, match=f"^{re.escape(message)}$"):
+            majority_witness(cycle_graph(5), mask_from([0, 2]), 9)
+
+    def test_result_is_rechecked_on_the_power(self, p3, monkeypatch):
+        adj, weights = tensor._nth_power(p3, 3)
+        full = (1 << 27) - 1
+        monkeypatch.setattr(classifier, "_nth_power", lambda g, n: ([full] * 27, weights))
+        with pytest.raises(AssertionError, match="not independent"):
+            majority_witness(p3, mask_from([0, 2]), 3)
+        monkeypatch.setattr(classifier, "_nth_power", lambda g, n: (adj, [0] * 27))
+        with pytest.raises(AssertionError, match="binomial tail"):
+            majority_witness(p3, mask_from([0, 2]), 3)

@@ -64,3 +64,48 @@ def test_self_calls_are_found():
         "    return direct(n)\n"
     )
     assert self_calls(tree) == [(2, "direct"), (5, "outer"), (9, "method")]
+
+
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each name imported in ``tree`` that nothing reads.
+
+    ``import a.b`` binds ``a``; ``from __future__`` imports are compiler
+    directives and bind nothing.
+    """
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for line, name in imported if name not in used)
+
+
+# The benchmark's tracer patches descriptor.max_flow, so that binding stays
+# until the benchmark points at one the module uses.
+UNUSED_IMPORTS_KEPT = {"descriptor.py max_flow"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names to re-export them.
+    found = {
+        f"{path.name} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for _, name in unused_imports(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == UNUSED_IMPORTS_KEPT
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import xml.dom\n"
+        "from itertools import islice, product\n"
+        "def f(x: Sequence) -> None:\n"
+        "    return xml.dom, islice(x, 1)\n"
+    )
+    assert unused_imports(tree) == [(2, "os"), (3, "osp"), (5, "product")]

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from tensorindep import (
     TensorPowerView,
     WeightedGraph,
     alpha_sequence,
+    complete_graph,
     cycle_graph,
     is_independent,
     mask_from,
@@ -25,7 +26,7 @@ from tensorindep import (
 )
 
 from conftest import measured_graphs
-from oracles import brute_alpha
+from oracles import brute_alpha, reference_power_rows
 
 
 def _assert_pairwise_product(g: WeightedGraph, h: WeightedGraph) -> None:
@@ -40,6 +41,47 @@ def _assert_pairwise_product(g: WeightedGraph, h: WeightedGraph) -> None:
             if g.has_edge(gi, gk) and h.has_edge(hj, hl):
                 row |= 1 << (gk * h.n + hl)
         assert prod.adj[u] == row
+
+
+def _weighted(weights: list[int], edges: list[tuple[int, int]]) -> WeightedGraph:
+    total = sum(weights)
+    return WeightedGraph([Fraction(w, total) for w in weights], edges)
+
+
+# Bases for each way a row of the smaller factor is built: a zero row, twins
+# with equal rows, rows that are shifts of one another, shapes of 3 bits.
+SHARED_ROW_BASES = {
+    "isolated vertex": _weighted([1, 2, 0, 3], [(0, 1), (1, 2)]),
+    "P3": _weighted([2, 1, 2], [(0, 1), (1, 2)]),
+    "K2,3": _weighted([1, 1, 2, 0, 3], [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    "star": _weighted([3, 1, 1, 2, 1], [(0, leaf) for leaf in range(1, 5)]),
+    "K3": complete_graph(3),
+    "C5": _weighted([1, 2, 3, 4, 5], [(i, (i + 1) % 5) for i in range(5)]),
+    "C7": cycle_graph(7),
+    "K4": _weighted([1, 0, 2, 1], list(combinations(range(4), 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_ROW_BASES))
+def test_power_rows_match_the_definition(name):
+    g = SHARED_ROW_BASES[name]
+    for k in range(1, 5):
+        power = tensor_power(g, k)
+        assert list(power.adj) == reference_power_rows(list(g.adj), k)
+        for index, coords in enumerate(product(range(g.n), repeat=k)):
+            expected = Fraction(1)
+            for c in coords:
+                expected *= g.measures[c]
+            assert power.measures[index] == expected
+
+
+@pytest.mark.parametrize(
+    "g_name, h_name", list(combinations(sorted(SHARED_ROW_BASES), 2))
+)
+def test_shared_row_products_in_both_orders(g_name, h_name):
+    g, h = SHARED_ROW_BASES[g_name], SHARED_ROW_BASES[h_name]
+    _assert_pairwise_product(g, h)
+    _assert_pairwise_product(h, g)
 
 
 class TestTensorProduct:
@@ -225,6 +267,25 @@ class TestProjection:
         second = projection_hom(v2, [0])
         direct = projection_hom(v3, [0])
         assert [second[first[v]] for v in range(v3.size)] == direct
+
+    @pytest.mark.parametrize(
+        "g, n",
+        [
+            (cycle_graph(5), 3),
+            (complete_graph(3), 4),
+            (_weighted([1, 2, 0, 3], [(0, 1), (1, 2), (1, 3)]), 3),
+        ],
+    )
+    def test_matches_decode(self, g, n):
+        view = TensorPowerView(g, n)
+        keeps = [list(c) for r in range(1, n) for c in combinations(range(n), r)]
+        for keep in keeps + [[2, 0, 2], [2, 1]]:
+            kept = sorted(set(keep))
+            image = TensorPowerView(g, len(kept))
+            expected = [
+                image.encode([view.decode(i)[p] for p in kept]) for i in range(view.size)
+            ]
+            assert projection_hom(view, keep) == expected
 
     def test_keep_validation(self, k2):
         view = TensorPowerView(k2, 2)
