@@ -33,6 +33,7 @@ from .descriptor import DescriptorReport, descriptor_from_flow
 from .errors import SizeCapExceeded
 from .graphs import (
     WeightedGraph,
+    _reach,
     bipartition,
     is_independent,
     is_vertex_transitive_uniform,
@@ -241,10 +242,9 @@ def majority_witness(g: WeightedGraph, independent: int, n: int) -> int:
     witness = 0
     for mask in exactly[n // 2 + 1 :]:
         witness |= mask
-    members = list(iter_bits(witness))
-    if any(adj[v] & witness for v in members):
+    if _reach(adj, witness) & witness:
         raise AssertionError("majority set is not independent")
     expected = majority_set_measure(measure_of(g, independent), n)
-    if Fraction(sum([weights[v] for v in members]), g.scale**n) != expected:
+    if Fraction(sum([weights[v] for v in iter_bits(witness)]), g.scale**n) != expected:
         raise AssertionError("majority set measure disagrees with the binomial tail")
     return witness

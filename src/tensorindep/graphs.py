@@ -10,8 +10,14 @@ set outweighs its neighborhood" are decided exactly; no float ever enters
 the arithmetic. ``measures`` is the same measure as
 :class:`fractions.Fraction` values, for display and for callers.
 
-Breadth-first search walks whole layers as bitmasks, and the automorphism
-search behind the vertex-transitivity check is one loop over a stack.
+Graph walks are written once, as two private helpers on raw adjacency
+rows: ``_reach`` is the union of the rows of a vertex set, and ``_walk``
+yields the breadth-first layers of a component as bitmasks, each with
+the union of its rows, so an edge inside a layer costs one AND to see.
+Neighborhoods, independence, bipartitions, the search's components and
+odd cycles, and the classifier's check of a majority set all read off
+them. The automorphism search behind the vertex-transitivity check is
+one loop over a stack.
 """
 
 from __future__ import annotations
@@ -202,6 +208,32 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count()})"
 
 
+def _reach(adj: Sequence[int], mask: int) -> int:
+    """Union of the rows ``adj[v]`` of the vertices v of ``mask``."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= adj[v]
+    return out
+
+
+def _walk(adj: Sequence[int], mask: int, start: int) -> Iterator[tuple[int, int]]:
+    """Breadth-first layers of the component of ``mask`` holding the bit ``start``.
+
+    Yields (layer, reach) pairs, the layer a bitmask and reach
+    ``_reach(adj, layer)``, the first layer being ``start`` alone. As
+    rows are symmetric, ``reach & layer`` is the set of the layer's
+    vertices with a neighbour inside it, nonzero exactly when an edge
+    lies inside the layer; some layer has one exactly when the component
+    has an odd cycle.
+    """
+    seen = layer = start
+    while layer:
+        reach = _reach(adj, layer)
+        yield layer, reach
+        layer = reach & mask & ~seen
+        seen |= layer
+
+
 def _check_subset(g: WeightedGraph, s: int) -> None:
     if s < 0 or s & ~g.full_mask:
         raise ValueError(f"vertex set {bin(s)} not within the {g.n}-vertex range")
@@ -213,10 +245,7 @@ def neighborhood(g: WeightedGraph, s: int) -> int:
     The result may intersect ``s`` itself.
     """
     _check_subset(g, s)
-    out = 0
-    for v in iter_bits(s):
-        out |= g.adj[v]
-    return out
+    return _reach(g.adj, s)
 
 
 def measure_of(g: WeightedGraph, s: int) -> Fraction:
@@ -236,30 +265,21 @@ def _integer_measures(measures: Sequence[Fraction]) -> tuple[list[int], int]:
 def is_independent(g: WeightedGraph, s: int) -> bool:
     """True iff no edge of ``g`` has both endpoints in ``s``."""
     _check_subset(g, s)
-    for v in iter_bits(s):
-        if g.adj[v] & s:
-            return False
-    return True
+    return not _reach(g.adj, s) & s
 
 
-def _layers(g: WeightedGraph) -> Iterator[tuple[int, int]]:
-    """Yield (depth, layer) for the breadth-first layers of ``g``, as bitmasks.
+def _layers(g: WeightedGraph) -> Iterator[tuple[int, int, int]]:
+    """Yield (depth, layer, reach) for the breadth-first layers of ``g``.
 
-    Each component is walked from its lowest vertex, at depth 0, and the
-    components come in the order of their lowest vertices.
+    Each component is walked by ``_walk`` from its lowest vertex, at
+    depth 0, and the components come in the order of their lowest
+    vertices.
     """
     left = g.full_mask
     while left:
-        frontier = left & -left
-        depth = 0
-        while frontier:
-            yield depth, frontier
-            left &= ~frontier
-            grown = 0
-            for v in iter_bits(frontier):
-                grown |= g.adj[v]
-            frontier = grown & left
-            depth += 1
+        for depth, (layer, reach) in enumerate(_walk(g.adj, left, left & -left)):
+            left ^= layer
+            yield depth, layer, reach
 
 
 def bipartition(g: WeightedGraph) -> Optional[tuple[int, int]]:
@@ -271,10 +291,9 @@ def bipartition(g: WeightedGraph) -> Optional[tuple[int, int]]:
     of side masks (X, Y).
     """
     side_x = 0
-    for depth, layer in _layers(g):
-        for v in iter_bits(layer):
-            if g.adj[v] & layer:
-                return None
+    for depth, layer, reach in _layers(g):
+        if reach & layer:
+            return None
         if depth % 2 == 0:
             side_x |= layer
     return side_x, g.full_mask ^ side_x
@@ -332,7 +351,7 @@ def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:
         raise SizeCapExceeded(
             f"transitivity check too large: {g.n} vertices exceeds cap {TRANSITIVITY_CAP}"
         )
-    order = [v for _, layer in _layers(g) for v in iter_bits(layer)]
+    order = [v for _, layer, _ in _layers(g) for v in iter_bits(layer)]
     return all(_automorphism_onto(g, order, w) for w in range(1, g.n))
 
 

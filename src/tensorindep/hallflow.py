@@ -265,14 +265,15 @@ def violating_set(g: WeightedGraph) -> Optional[int]:
 def independent_witness_from_set(g: WeightedGraph, q: int) -> int:
     """Shrink a violating set to a certified independent one.
 
-    Keeps the vertices of ``q`` with no neighbor inside ``q``. Given
-    mu(q) > mu(N(q)), the result is nonempty, independent, and still
-    outweighs its own neighborhood; all three facts are re-checked here
-    in exact arithmetic rather than assumed.
+    Keeps the vertices of ``q`` with no neighbor inside ``q``, which are
+    those outside N(q). Given mu(q) > mu(N(q)), the result is nonempty,
+    independent, and still outweighs its own neighborhood; all three
+    facts are re-checked here in exact arithmetic rather than assumed.
     """
-    if measure_of(g, q) <= measure_of(g, neighborhood(g, q)):
+    neighbors = neighborhood(g, q)
+    if measure_of(g, q) <= measure_of(g, neighbors):
         raise ValueError("set does not outweigh its neighborhood")
-    witness = mask_from(v for v in iter_bits(q) if not g.adj[v] & q)
+    witness = q & ~neighbors
     if witness == 0:
         raise AssertionError("extraction produced an empty witness")
     if not is_independent(g, witness):

@@ -32,9 +32,11 @@ component needs no search: on C5^3 and C5^4 the split finds the diagonal
 5-cycles, whose bound is the optimum 2/5. The bound is taken once, at
 the root: tried at every node it pruned few of them and slowed the
 search down, on weighted powers of C5 and on relabeled C5^3 as well.
-Bipartite components have no odd cycle; the component walk already
-reports an edge inside one of its layers, so they skip the split at no
-extra cost.
+Components come from the layered walk ``graphs._walk``, which yields
+each layer with the union of its rows, so an edge inside a layer, and
+with it an odd cycle, costs one AND per layer to see: bipartite
+components skip the split at no extra cost. The split walks the same
+way, inside the free vertices.
 
 The optimum value is independent of search order. The reported witness
 is canonical as well, and comes from the same single search: vertex v's
@@ -68,7 +70,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, is_independent, iter_bits, mask_from
+from .graphs import WeightedGraph, _walk, is_independent, iter_bits, mask_from
 from .tensor import _powers
 
 #: Largest vertex count the independent-set search accepts.
@@ -119,20 +121,15 @@ def _greedy(adj: tuple[int, ...], weights: Sequence[int], mask: int) -> int:
 def _component_of(adj: tuple[int, ...], mask: int, start_bit: int) -> tuple[int, bool]:
     """The component of ``mask`` holding ``start_bit``, and whether it has an odd cycle.
 
-    The walk goes layer by layer from the start; a component has an odd
-    cycle exactly when some edge joins two vertices of one layer.
+    It is the union of the layers of ``graphs._walk`` from the start, and
+    has an odd cycle exactly when an edge lies inside one of them.
     """
-    comp = start_bit
-    frontier = start_bit
+    comp = 0
     odd = False
-    while frontier:
-        grown = 0
-        for v in iter_bits(frontier):
-            grown |= adj[v]
-        if grown & frontier:
+    for layer, reach in _walk(adj, mask, start_bit):
+        comp |= layer
+        if reach & layer:
             odd = True
-        frontier = grown & mask & ~comp
-        comp |= frontier
     return comp, odd
 
 
@@ -246,37 +243,28 @@ def _odd_cycle_parts(adj: tuple[int, ...], comp: int) -> list[tuple[int, tuple[i
     """Vertex-disjoint odd cycles of length at least 5 inside ``comp``, as (mask, cycle).
 
     Greedy: from the lowest free vertex, a breadth-first walk inside the
-    free vertices stops at the first layer with an inner edge u-w; the
-    walks back from u and w along lowest-indexed parents meet, and close
-    a shortest odd cycle. A triangle is dropped, as the clique cover
-    already bounds it; a walk that finds no inner edge has traversed a
-    bipartite piece, which is dropped whole.
+    free vertices (``graphs._walk``) stops at the first layer with an
+    inner edge u-w, u the lowest vertex of the layer with a neighbour in
+    it and w the lowest such neighbour; the walks back from u and w along
+    lowest-indexed parents meet, and close a shortest odd cycle. A
+    triangle is dropped, as the clique cover already bounds it; a walk
+    that finds no inner edge has traversed a bipartite piece, which is
+    dropped whole.
     """
     parts = []
     free = comp
     while free:
-        start = free & -free
-        layers = [start]
-        seen = start
-        u = -1
-        while u < 0:
-            frontier = layers[-1]
-            grown = 0
-            for v in iter_bits(frontier):
-                if adj[v] & frontier:
-                    u = v
-                    break
-                grown |= adj[v]
-            else:
-                grown &= free & ~seen
-                if not grown:
-                    break
-                layers.append(grown)
-                seen |= grown
-        if u < 0:
-            free &= ~seen
+        layers = []
+        for layer, reach in _walk(adj, free, free & -free):
+            layers.append(layer)
+            if reach & layer:
+                break
+        else:
+            free &= ~sum(layers)
             continue
-        inner = adj[u] & frontier
+        inner = reach & layer
+        u = (inner & -inner).bit_length() - 1
+        inner = adj[u] & layer
         w = (inner & -inner).bit_length() - 1
         left, right = [u], [w]
         for layer in reversed(layers[:-1]):

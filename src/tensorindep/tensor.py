@@ -10,22 +10,15 @@ index arithmetic and keeps every construction deterministic.
 
 Adjacency rows are ``int`` bitmasks, and the product's row (gi, hj) is
 ``h``'s row hj copied into the block of h.n bits of every neighbour of
-gi. The cheap factor order puts the smaller graph first, so a power is
-built base first, as g x g^(n-1). A row of ``g`` with lowest bit b is
-then its *shape* (the row shifted down by b) moved up by b blocks, and
-the rows of a shape are built once per call: ``h``'s rows, ORed with one
-shifted copy of them for each further bit of the shape. Base rows
-that are shifts of one another (a cycle, a complete graph) share one
-shape and cost one shift of each row; equal base rows (twins) share one
-list of rows, and an isolated vertex gets a block of zero rows.
-
-With the larger factor first, the shifts would be one per neighbour of a
-long row, so the row of gi is instead spread to one bit per block in a
-single ``bin``/``int`` round trip (its binary digits read in base 2**k,
-for the largest k <= 5 dividing h.n) and multiplied by ``h``'s row. That
-costs a string of g.n * h.n / k digits per row of ``g`` and no loop over
-its bits; when h.n is at most 5, k = h.n and the string is ``bin`` of
-the row itself.
+gi. A row of ``g`` with lowest bit b is its *shape* (the row shifted
+down by b) moved up by b blocks, and the rows of a shape are built once
+per call: ``h``'s rows, ORed with one shifted copy of them for each
+further bit of the shape. The cheap factor order puts the smaller graph
+first, with few bits per shape, so a power is built base first, as
+g x g^(n-1). Base rows that are shifts of one another (a cycle, a
+complete graph) share one shape and cost one shift of each row; equal
+base rows (twins) share one list of rows, and an isolated vertex gets a
+block of zero rows.
 
 A product's weights are the products of its factors' integer weights
 over the product of their scales (see ``graphs.WeightedGraph``). As each
@@ -75,51 +68,35 @@ def _rows(g_adj: Sequence[int], h_adj: Sequence[int]) -> list[int]:
     """Adjacency rows of the product of graphs with rows ``g_adj`` and ``h_adj``.
 
     Row (gi, hj) holds ``h_adj[hj]`` in the block of every neighbour gj
-    of gi, the block of gj being bits gj * len(h_adj) onwards; the module
-    docstring says which of the two ways below suits which factor order.
+    of gi, the block of gj being bits gj * len(h_adj) onwards.
 
-    With the smaller factor first, ``built`` maps a row of ``g`` to its
-    block of product rows. A shape (a row with bit 0 set) starts from
-    ``h_adj`` itself and ORs in one shifted copy of it per further bit; a
-    row with lowest bit b > 0 shifts its shape's block by b blocks. Equal
-    rows get the same list back; its ints are immutable, so sharing them
-    copies nothing. The table is local to the call.
-
-    With the larger factor first, the binary digits of gi's row, read in
-    base 2**k with block / k - 1 zero digits joined between them, put one
-    bit at the start of each neighbour's block, and a row of ``h`` fits
-    inside a block, so their product does not carry.
+    ``built`` maps a row of ``g`` to its block of product rows. A shape
+    (a row with bit 0 set) starts from ``h_adj`` itself and ORs in one
+    shifted copy of it per further bit; a row with lowest bit b > 0
+    shifts its shape's block by b blocks. Equal rows get the same list
+    back; its ints are immutable, so sharing them copies nothing. The
+    table is local to the call.
     """
     block = len(h_adj)
     adj: list[int] = []
-    if len(g_adj) <= block:
-        built: dict[int, list[int]] = {0: [0] * block}
-        for row in g_adj:
-            rows = built.get(row)
+    built: dict[int, list[int]] = {0: [0] * block}
+    for row in g_adj:
+        rows = built.get(row)
+        if rows is None:
+            low = (row & -row).bit_length() - 1
+            shape = row >> low
+            rows = built.get(shape)
             if rows is None:
-                low = (row & -row).bit_length() - 1
-                shape = row >> low
-                rows = built.get(shape)
-                if rows is None:
-                    rows = list(h_adj)
-                    for gj in iter_bits(shape ^ 1):
-                        shift = gj * block
-                        rows = [r | s << shift for r, s in zip(rows, h_adj)]
-                    built[shape] = rows
-                if low:
-                    shift = low * block
-                    rows = [r << shift for r in rows]
-                    built[row] = rows
-            adj.extend(rows)
-    else:
-        # int() reads up to base 36, so take the largest k <= 5 dividing
-        # the block: read in base 2**k, digit gj lands on bit gj * k.
-        k = max(d for d in range(1, 6) if block % d == 0)
-        pad = "0" * (block // k - 1)
-        for row in g_adj:
-            digits = bin(row)[2:]
-            spread = int(pad.join(digits) if pad else digits, 2**k)
-            adj.extend([spread * s for s in h_adj])
+                rows = list(h_adj)
+                for gj in iter_bits(shape ^ 1):
+                    shift = gj * block
+                    rows = [r | s << shift for r, s in zip(rows, h_adj)]
+                built[shape] = rows
+            if low:
+                shift = low * block
+                rows = [r << shift for r in rows]
+                built[row] = rows
+        adj.extend(rows)
     return adj
 
 
@@ -163,9 +140,13 @@ class TensorPowerView:
 
 
 def power_adjacent(view: TensorPowerView, a: Sequence[int], b: Sequence[int]) -> bool:
-    """True iff every coordinate pair is adjacent in the base graph."""
-    if len(a) != view.exponent or len(b) != view.exponent:
-        raise ValueError(f"coordinate tuples must have length {view.exponent}")
+    """True iff every coordinate pair is adjacent in the base graph.
+
+    Both tuples go through ``view.encode`` first, so one of the wrong
+    length or with a coordinate out of range raises its ``ValueError``.
+    """
+    view.encode(a)
+    view.encode(b)
     adj = view.base.adj
     return all(adj[x] >> y & 1 for x, y in zip(a, b))
 

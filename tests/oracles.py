@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -65,6 +66,52 @@ def brute_alpha_value_int(adj: list[int], weights: list[int]) -> int:
         else:
             independent[mask] = 0
     return best
+
+
+def brute_reach(adj: Sequence[int], mask: int) -> int:
+    """Every vertex adjacent to some vertex of ``mask``, one pair at a time."""
+    n = len(adj)
+    return mask_from(
+        u for v in range(n) if mask >> v & 1 for u in range(n) if adj[v] >> u & 1
+    )
+
+
+def brute_distance_classes(adj: Sequence[int], mask: int, start: int) -> list[int]:
+    """The vertices of ``mask`` at distance 0, 1, 2, ... from ``start`` inside it.
+
+    A queue-based breadth-first search over single vertices, one mask per
+    distance; the classes together are the component of ``start``.
+    """
+    distance = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in range(len(adj)):
+            if mask >> v & 1 and adj[u] >> v & 1 and v not in distance:
+                distance[v] = distance[u] + 1
+                queue.append(v)
+    classes = [0] * (max(distance.values()) + 1)
+    for v, d in distance.items():
+        classes[d] |= 1 << v
+    return classes
+
+
+def brute_two_colourable(adj: Sequence[int], comp: int) -> bool:
+    """Whether some split of ``comp`` into two sides leaves no edge inside a side.
+
+    Tries every split, up to swapping the sides: the lowest vertex stays
+    off ``side``, and every other vertex is on it or not.
+    """
+    members = [v for v in range(len(adj)) if comp >> v & 1]
+    for bits in range(1 << (len(members) - 1)):
+        side = mask_from(v for i, v in enumerate(members[1:]) if bits >> i & 1)
+        if not any(
+            adj[u] >> v & 1
+            for u, v in combinations(members, 2)
+            if (side >> u & 1) == (side >> v & 1)
+        ):
+            return True
+    return False
 
 
 def reference_power_rows(adj: list[int], k: int) -> list[int]:
@@ -133,6 +180,18 @@ def brute_violating_any(g: WeightedGraph) -> int | None:
         if measure_of(g, mask) > measure_of(g, neighborhood(g, mask)):
             return mask
     return None
+
+
+def walk_cases(rng: random.Random):
+    """Seeded (graph, mask) pairs for the graph walks, on up to 12 vertices.
+
+    Sparse graphs give isolated vertices and empty rows, and random masks
+    split a graph into several components; the full mask comes too.
+    """
+    for _ in range(60):
+        g = random_measured_graph(rng, 12, density=rng.choice([0.1, 0.25, 0.5]))
+        for mask in [rng.getrandbits(g.n) for _ in range(4)] + [g.full_mask]:
+            yield g, mask
 
 
 def all_uniform_graphs(max_vertices: int):

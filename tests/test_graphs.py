@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -25,9 +26,16 @@ from tensorindep import (
     tensor_power,
     tensor_product,
 )
+from tensorindep.graphs import _reach, _walk
 
 from conftest import cyclic_garbage, measured_graphs
-from oracles import brute_vertex_transitive
+from oracles import (
+    brute_distance_classes,
+    brute_reach,
+    brute_two_colourable,
+    brute_vertex_transitive,
+    walk_cases,
+)
 
 # A triangle beside a 4-cycle, and a connected cubic graph on 8 vertices
 # with two triangles: both regular, neither vertex-transitive.
@@ -185,10 +193,35 @@ class TestBipartition:
     @given(measured_graphs())
     def test_sides_are_independent(self, g):
         sides = bipartition(g)
+        assert (sides is not None) == brute_two_colourable(g.adj, g.full_mask)
         if sides is not None:
             x, y = sides
             assert x | y == g.full_mask and x & y == 0
             assert is_independent(g, x) and is_independent(g, y)
+
+
+class TestWalks:
+    """``_reach`` and ``_walk`` against a breadth-first search over single vertices."""
+
+    def test_reach_is_the_union_of_the_neighbourhoods(self, rng):
+        for g, mask in walk_cases(rng):
+            assert _reach(g.adj, mask) == brute_reach(g.adj, mask)
+
+    def test_layers_are_the_distance_classes_in_order(self, rng):
+        isolated = empty_rows = splits = 0
+        for g, mask in walk_cases(rng):
+            for start in iter_bits(mask):
+                walked = list(_walk(g.adj, mask, 1 << start))
+                classes = brute_distance_classes(g.adj, mask, start)
+                assert [layer for layer, _ in walked] == classes
+                for layer, reach in walked:
+                    assert reach == brute_reach(g.adj, layer)
+                    inner = any(g.has_edge(u, v) for u, v in combinations(iter_bits(layer), 2))
+                    assert bool(reach & layer) == inner
+                isolated += len(classes) == 1
+                empty_rows += not g.adj[start]
+                splits += sum(classes) != mask
+        assert isolated and empty_rows and splits
 
 
 class TestVertexTransitivity:

@@ -20,6 +20,7 @@ from tensorindep import (
     complete_graph,
     cycle_graph,
     is_independent,
+    iter_bits,
     mask_from,
     measure_of,
     path_graph,
@@ -32,7 +33,15 @@ from tensorindep.graphs import _integer_measures
 from tensorindep.mwis import MWIS_CAP
 
 from conftest import cyclic_garbage, measured_graphs
-from oracles import all_uniform_graphs, brute_alpha, brute_alpha_value_int, random_measured_graph
+from oracles import (
+    all_uniform_graphs,
+    brute_alpha,
+    brute_alpha_value_int,
+    brute_distance_classes,
+    brute_two_colourable,
+    random_measured_graph,
+    walk_cases,
+)
 
 
 class TestAlphaBar:
@@ -367,6 +376,23 @@ def _induced(adj: list[int], weights: list[int], cand: int) -> tuple[list[int], 
     index = {v: i for i, v in enumerate(keep)}
     sub = [sum(1 << index[u] for u in keep if adj[v] >> u & 1) for v in keep]
     return sub, [weights[v] for v in keep]
+
+
+def test_component_of_matches_brute_force(rng):
+    # The component is what a breadth-first search over single vertices
+    # reaches, and it has an odd cycle exactly when it is not 2-colourable.
+    odd_seen = even_seen = 0
+    for g, mask in walk_cases(rng):
+        colourable = {}
+        for start in iter_bits(mask):
+            comp, odd = mwis._component_of(g.adj, mask, 1 << start)
+            assert comp == sum(brute_distance_classes(g.adj, mask, start))
+            if comp not in colourable:
+                colourable[comp] = brute_two_colourable(g.adj, comp)
+            assert odd == (not colourable[comp])
+            odd_seen += odd
+            even_seen += not odd
+    assert odd_seen and even_seen
 
 
 class TestOddCyclePartitionBound:

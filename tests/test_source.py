@@ -109,3 +109,71 @@ def test_unused_imports_are_found():
         "    return xml.dom, islice(x, 1)\n"
     )
     assert unused_imports(tree) == [(2, "os"), (3, "osp"), (5, "product")]
+
+
+def _names(node: ast.expr, name: str) -> bool:
+    """Whether ``node`` is ``name`` or an attribute ``something.name``."""
+    return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+
+def row_unions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, function) of each row union written out in ``tree``.
+
+    A row union is a ``for`` loop over ``iter_bits(...)`` whose body ORs
+    an adjacency row into an accumulator: ``x |= adj[v]`` or
+    ``x |= g.adj[v]``.
+    """
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(func):
+            if not (
+                isinstance(loop, ast.For)
+                and isinstance(loop.iter, ast.Call)
+                and _names(loop.iter.func, "iter_bits")
+            ):
+                continue
+            found += [
+                (node.lineno, func.name)
+                for node in ast.walk(loop)
+                if isinstance(node, ast.AugAssign)
+                and isinstance(node.op, ast.BitOr)
+                and isinstance(node.value, ast.Subscript)
+                and _names(node.value.value, "adj")
+            ]
+    return sorted(found)
+
+
+def test_rows_are_unioned_only_in_reach():
+    # Every walk over a graph reads rows through graphs._reach.
+    found = [
+        f"{path.name} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, name in row_unions(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == ["graphs.py _reach"]
+
+
+def test_row_unions_are_found():
+    tree = ast.parse(
+        "def neighbours(g, s):\n"
+        "    out = 0\n"
+        "    for v in iter_bits(s):\n"
+        "        out |= g.adj[v]\n"
+        "    return out\n"
+        "def grow(adj, frontier):\n"
+        "    grown = 0\n"
+        "    for v in graphs.iter_bits(frontier):\n"
+        "        if v:\n"
+        "            grown |= adj[v]\n"
+        "    return grown\n"
+        "def other_loops(adj, s):\n"
+        "    total = 0\n"
+        "    for v in iter_bits(s):\n"
+        "        total += adj[v].bit_count()\n"
+        "    for v in range(3):\n"
+        "        total |= adj[v]\n"
+        "    return total\n"
+    )
+    assert row_unions(tree) == [(4, "neighbours"), (10, "grow")]

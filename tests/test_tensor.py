@@ -137,8 +137,9 @@ class TestTensorProduct:
 
     @pytest.mark.parametrize("block", range(1, 11))
     def test_larger_factor_first_for_every_block_size(self, rng, block):
-        # The spread row is read in base 2**k for the largest k <= 5
-        # dividing the block, with block / k - 1 zero digits between digits.
+        # With the larger factor first, a base row has many bits, so its
+        # shape ORs in many shifted copies of h's rows, and 25 random
+        # edges on 11 vertices give shapes of many lengths.
         pairs = [(i, j) for i in range(11) for j in range(i + 1, 11)]
         g = WeightedGraph([Fraction(1, 11)] * 11, rng.sample(pairs, 25))
         h = path_graph(block) if block < 3 else cycle_graph(block)
@@ -232,6 +233,21 @@ class TestPowerView:
         assert not power_adjacent(v2, (0, 0), (0, 1))
         v5 = TensorPowerView(c5, 2)
         assert power_adjacent(v5, (0, 0), (1, 4))
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ((-1, 0), (0, 1), "coordinate -1 out of range"),
+            ((0, 0), (1, 9), "coordinate 9 out of range"),
+            ((0, 0), (1, -1), "coordinate -1 out of range"),
+            ((0, 7), (1, 1), "coordinate 7 out of range"),
+            ((0, 0, 0), (1, 1), "expected 2 coordinates, got 3"),
+        ],
+        ids=["wraps-around", "past-the-end", "negative-shift", "index-error", "length"],
+    )
+    def test_power_adjacent_rejects_what_encode_rejects(self, c5, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            power_adjacent(TensorPowerView(c5, 2), a, b)
 
     @given(measured_graphs(max_vertices=4), st.data())
     def test_oracle_matches_materialized(self, g, data):
