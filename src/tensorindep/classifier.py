@@ -33,6 +33,7 @@ from .descriptor import DescriptorReport, descriptor_from_flow
 from .errors import SizeCapExceeded
 from .graphs import (
     WeightedGraph,
+    _rational,
     _reach,
     bipartition,
     is_independent,
@@ -196,12 +197,13 @@ def lower_bound_sequence(g: WeightedGraph, independent: int, count: int) -> Boun
     return BoundSequence(tuple(terms), mu_i / (mu_i + mu_ni))
 
 
-def majority_set_measure(p: Fraction, n: int) -> Fraction:
+def majority_set_measure(p: Fraction | str, n: int) -> Fraction:
     """Probability that strictly more than half of n independent trials hit.
 
-    Exact binomial tail: sum over k > n/2 of C(n,k) p^k (1-p)^(n-k).
+    Exact binomial tail: sum over k > n/2 of C(n,k) p^k (1-p)^(n-k). Text
+    ``p`` is read by ``graphs._rational``, which refuses exponents.
     """
-    p = Fraction(p)
+    p = _rational(p)
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0,1]")
     if n < 1:

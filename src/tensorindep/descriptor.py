@@ -17,12 +17,13 @@ adjacent targets on every mirror pair) at the finitely many breakpoints.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import SaturationRequired
-from .graphs import WeightedGraph, _integer_measures
+from .graphs import WeightedGraph, _integer_measures, _rational
 from .hallflow import HALF, FlowResult, cover_flow
 from .hallflow import max_flow  # noqa: F401  still bound here for bench/tests/test_bench.py
 
@@ -205,6 +206,7 @@ def interval_hom_to_json(hom: IntervalHom, cover: WeightedGraph) -> list[dict]:
 
 
 def interval_hom_from_json(data: Sequence[dict], cover: WeightedGraph) -> IntervalHom:
+    """Pieces from ``interval_hom_to_json`` output, endpoints read by ``_rational``."""
     labels = cover.labels
     if len(set(labels)) != len(labels):
         raise ValueError("cover labels are not unique; cannot resolve targets")
@@ -213,8 +215,8 @@ def interval_hom_from_json(data: Sequence[dict], cover: WeightedGraph) -> Interv
     for entry in data:
         try:
             target = index[entry["target"]]
-            piece = IntervalPiece(Fraction(entry["lo"]), Fraction(entry["hi"]), target)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"invalid interval piece {entry!r}") from exc
+            piece = IntervalPiece(_rational(entry["lo"]), _rational(entry["hi"]), target)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"invalid interval piece {reprlib.repr(entry)}") from exc
         pieces.append(piece)
     return IntervalHom(tuple(pieces))

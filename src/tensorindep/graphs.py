@@ -8,7 +8,9 @@ denominator ``scale``: the least one, so ``scale == sum(weights)``. Every
 layer computes on those integers, and strict comparisons such as "this
 set outweighs its neighborhood" are decided exactly; no float ever enters
 the arithmetic. ``measures`` is the same measure as
-:class:`fractions.Fraction` values, for display and for callers.
+:class:`fractions.Fraction` values, for display and for callers. Text
+becomes a ``Fraction`` only in ``_rational``, which refuses exponents.
+Graphs are frozen dataclasses, so they can be copied and pickled.
 
 Graph walks are written once, as two private helpers on raw adjacency
 rows: ``_reach`` is the union of the rows of a vertex set, and ``_walk``
@@ -23,7 +25,9 @@ one loop over a stack.
 from __future__ import annotations
 
 import math
+import re
 import reprlib
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -31,6 +35,21 @@ from .errors import SizeCapExceeded
 
 #: Largest vertex count for which the automorphism-transitivity check runs.
 TRANSITIVITY_CAP = 16
+
+
+def _rational(value) -> Fraction:
+    """``value`` as a ``Fraction``; text is p/q, an integer or a plain decimal.
+
+    ``Fraction("1e-2000000")`` would first spell out a 2,000,001-digit integer.
+    """
+    if not isinstance(value, str):
+        return Fraction(value)
+    if re.search(r"[0-9.][eE]", value):
+        raise ValueError(f"exponent notation in {reprlib.repr(value)} rejected; write p/q")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"invalid rational {reprlib.repr(value)}") from exc
 
 
 def _brief(q: Fraction) -> str:
@@ -77,6 +96,7 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class WeightedGraph:
     """Immutable finite graph with a probability measure on its vertices.
 
@@ -88,10 +108,15 @@ class WeightedGraph:
     The measure of vertex v is ``weights[v] / scale``, ``scale`` being the
     least common denominator of the measures. As they sum to 1, ``scale``
     equals ``sum(weights)`` and the weights have no common factor, so equal
-    measures always come as equal ``(weights, scale)``.
+    measures always come as equal ``(weights, scale)``. Text measures go
+    through ``_rational``; graphs can be copied and pickled.
     """
 
-    __slots__ = ("labels", "weights", "scale", "adj", "_measures")
+    labels: tuple[str, ...]
+    weights: tuple[int, ...]
+    scale: int
+    adj: tuple[int, ...]
+    _measures: Optional[tuple[Fraction, ...]] = field(compare=False)
 
     def __init__(
         self,
@@ -99,17 +124,10 @@ class WeightedGraph:
         edges: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ):
-        measures = tuple(Fraction(m) for m in measures)
+        measures = tuple(map(_rational, measures))
         n = len(measures)
         if n == 0:
             raise ValueError("a graph needs at least one vertex to carry a probability measure")
-        for i, m in enumerate(measures):
-            if m < 0:
-                raise ValueError(f"vertex {i} has negative measure {_brief(m)}")
-        weights, scale = _integer_measures(measures)
-        total = sum(weights)
-        if total != scale:
-            raise ValueError(f"measures sum to {_brief(Fraction(total, scale))}, expected 1")
         if labels is None:
             labels = tuple(f"v{i}" for i in range(n))
         else:
@@ -121,9 +139,15 @@ class WeightedGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u} rejected")
+                raise ValueError(f"self-loop at {reprlib.repr(labels[u])} rejected")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        for i, m in enumerate(measures):
+            if m < 0:
+                raise ValueError(f"vertex {i} has negative measure {_brief(m)}")
+        weights, scale = _integer_measures(measures)
+        if sum(weights) != scale:
+            raise ValueError(f"measures sum to {_brief(sum(measures))}, expected 1")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "scale", scale)
@@ -159,9 +183,6 @@ class WeightedGraph:
             )
         return self._measures
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedGraph is immutable")
-
     @property
     def n(self) -> int:
         return len(self.weights)
@@ -190,19 +211,6 @@ class WeightedGraph:
         if len(labels) != self.n:
             raise ValueError(f"{len(labels)} labels for {self.n} vertices")
         return WeightedGraph._from_parts(labels, self.weights, self.scale, self.adj)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedGraph):
-            return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.weights == other.weights
-            and self.scale == other.scale
-            and self.adj == other.adj
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.weights, self.scale, self.adj))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count()})"

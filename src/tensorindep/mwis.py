@@ -60,7 +60,11 @@ independent set takes at most (L-1)/(2L) of each, so alpha(g^n) <=
 (L-1)/(2L) for every n. When alpha(g) equals that bound, the
 nondecreasing sequence is constant. The search for such a cover is one
 loop over an explicit stack of paths too, and gives up after
-``_COVER_STEPS`` path extensions.
+``_COVER_STEPS`` path extensions. When no cover settles it, a uniform
+vertex-transitive base of at most ``TRANSITIVITY_CAP`` vertices does:
+then alpha(g x h) = max(alpha(g), alpha(h)) for every uniform h (Zhang,
+J. Combin. Theory Ser. B, 2012), so alpha(g^n) = alpha(g) for every n.
+Complete graphs K4 and up have no odd cover and stop there.
 """
 
 from __future__ import annotations
@@ -70,7 +74,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, _walk, is_independent, iter_bits, mask_from
+from .graphs import (
+    TRANSITIVITY_CAP,
+    WeightedGraph,
+    _walk,
+    is_independent,
+    is_vertex_transitive_uniform,
+    iter_bits,
+    mask_from,
+)
 from .tensor import _powers
 
 #: Largest vertex count the independent-set search accepts.
@@ -443,7 +455,8 @@ def alpha_sequence(
     is below ``n_max``. The searches end at a term equal to ``_ceiling``
     (1 by default; the classifier passes 1/2 when no set is violating),
     which no power exceeds, or after power 1 when an odd cycle cover
-    proves alpha(g^n) <= alpha(g) (module docstring). One fill then
+    proves alpha(g^n) <= alpha(g) or g is uniform, vertex transitive and
+    within ``TRANSITIVITY_CAP`` (module docstring). One fill then
     repeats the last term up to the last power, as the sequence is
     nondecreasing; a decrease would mean a bug in the search and raises.
     """
@@ -464,7 +477,11 @@ def alpha_sequence(
                 f"independence measure decreased from {terms[-1]} to {value} at power {k}"
             )
         terms.append(value)
-        if value == _ceiling or k == 1 < last and _odd_cover_settles(g, value):
+        if value == _ceiling or k == 1 < last and (
+            _odd_cover_settles(g, value)
+            or g.n <= TRANSITIVITY_CAP
+            and is_vertex_transitive_uniform(g)
+        ):
             break
     terms += terms[-1:] * (last - len(terms))
     return AlphaSequence(tuple(terms), last < n_max)

@@ -181,6 +181,14 @@ def _powers(g: WeightedGraph) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
         weights = [a * b for a in g.weights for b in weights]
 
 
+def _refuse_oversized(m: int, n: int) -> None:
+    """Raise ``SizeCapExceeded`` when m**n is over ``MATERIALIZATION_CAP``."""
+    if _power_exceeds(m, n, MATERIALIZATION_CAP):
+        raise SizeCapExceeded(
+            f"power too large: {m}**{n} vertices exceeds cap {MATERIALIZATION_CAP}"
+        )
+
+
 def _nth_power(g: WeightedGraph, n: int) -> tuple[Sequence[int], Sequence[int]]:
     """Adjacency rows and integer weights (over ``g.scale**n``) of g^n.
 
@@ -189,10 +197,7 @@ def _nth_power(g: WeightedGraph, n: int) -> tuple[Sequence[int], Sequence[int]]:
     """
     if n < 1:
         raise ValueError("power must be positive")
-    if _power_exceeds(g.n, n, MATERIALIZATION_CAP):
-        raise SizeCapExceeded(
-            f"power too large: {g.n}**{n} vertices exceeds cap {MATERIALIZATION_CAP}"
-        )
+    _refuse_oversized(g.n, n)
     return next(islice(_powers(g), n - 1, None))
 
 
@@ -217,7 +222,8 @@ def projection_hom(view: TensorPowerView, keep: Iterable[int]) -> list[int]:
     ``keep`` must be a nonempty proper subset of the coordinate positions;
     the kept coordinates stay in increasing position order. The returned
     list maps each source index to its image index and is always a
-    measure-preserving homomorphism.
+    measure-preserving homomorphism. A power over ``MATERIALIZATION_CAP``
+    vertices is refused before anything is built, as in ``tensor_power``.
 
     The list is built one position at a time, the last first: after
     position p it maps the indices of coordinates p..n-1 to their image,
@@ -233,6 +239,7 @@ def projection_hom(view: TensorPowerView, keep: Iterable[int]) -> list[int]:
     if len(kept) == view.exponent:
         raise ValueError("keep must be a proper subset of the coordinates")
     m = view.base.n
+    _refuse_oversized(m, view.exponent)
     mapping = [0]
     place = 1
     for position in reversed(range(view.exponent)):

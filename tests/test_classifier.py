@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,16 @@ class TestMajorityMeasure:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             majority_set_measure(Fraction(3, 2), 3)
+
+    def test_text_probability(self):
+        assert majority_set_measure("3/5", 3) == Fraction(81, 125)
+        assert majority_set_measure("0.6", 3) == Fraction(81, 125)
+
+    def test_exponent_text_rejected_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent notation"):
+            majority_set_measure("1e-10000000", 3)
+        assert time.perf_counter() - start < 0.1
 
     def test_nondecreasing_along_odd_counts_above_half(self):
         values = [majority_set_measure(Fraction(3, 5), n) for n in range(1, 22, 2)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -334,6 +336,30 @@ class TestDefaultAnalyze:
         assert "size cap hit: alpha sequence truncated" in captured.err.splitlines()
         assert "timing: null" in captured.out.splitlines()
 
+    def test_uniform_k5_ends_at_once(self, fixture_file, capsys):
+        # K5 has no odd cycle cover, but it is vertex transitive, so the
+        # searches stop after power 1; they used to run past 30 s.
+        doc = {
+            "vertices": [{"id": f"k{i}", "measure": "1/5"} for i in range(5)],
+            "edges": [[f"k{i}", f"k{j}"] for i in range(5) for j in range(i + 1, 5)],
+        }
+        path = fixture_file("k5.json", doc)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorindep", "analyze", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        start = time.perf_counter()
+        assert main(["analyze", path]) == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads(capsys.readouterr().out)
+        assert report["alpha_sequence"] == ["1/5"] * default_power_cap(5)
+        assert report["verdict"]["rule"] == "vertex-transitive-uniform"
+
     def test_max_power_zero_exits_2(self, capsys):
         path = str(DEMO_DATA / "k2_uniform.json")
         assert main(["analyze", path, "--max-power", "0"]) == 2
@@ -524,6 +550,105 @@ class TestParserFuzz:
             except DocumentError:
                 continue
             assert isinstance(graph, WeightedGraph)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_DOCUMENT_TOKENS), max_size=40).map("".join))
+    def test_analyze_exits_0_or_2(self, tmp_path_factory, text):
+        # Whatever the file holds, analyze reports through its exit codes:
+        # no exception escapes main.
+        path = tmp_path_factory.getbasetemp() / "fuzz-analyze.doc"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path), "--max-power", "2"])
+        assert code in (0, 2)
+        assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+_K2_TEXT = "v u 1/2\nv v 1/2\ne u v\n"
+
+
+class TestInvalidInputExits2:
+    """Every kind of invalid input exits 2 with one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "command, files, flags, message",
+        [
+            ("analyze", ['{"vertices": []}'], [], 'document needs a nonempty "vertices" array'),
+            (
+                "analyze",
+                ['{"vertices": [{"id": "u"}]}'],
+                [],
+                "vertex entry {'id': 'u'} needs id and measure",
+            ),
+            (
+                "analyze",
+                ['{"vertices": [{"id": "u", "measure": "1"}], "edges": {}}'],
+                [],
+                '"edges" must be an array of id pairs',
+            ),
+            (
+                "analyze",
+                ['{"vertices": [{"id": "u", "measure": "1"}], "edges": [["u"]]}'],
+                [],
+                "edge entry ['u'] must be an [id, id] pair",
+            ),
+            (
+                "analyze",
+                ['{"vertices": [{"id": "u", "measure": "1"}], "edges": [["u", "u"]]}'],
+                [],
+                "self-loop at 'u' rejected",
+            ),
+            ("analyze", ["v a 1\ne a a\n"], [], "self-loop at 'a' rejected"),
+            # Measure text is read after the document's shape is checked.
+            (
+                "analyze",
+                ['{"vertices": [{"id": "u", "measure": "x"}], "edges": {}}'],
+                [],
+                '"edges" must be an array of id pairs',
+            ),
+            (
+                "analyze",
+                ['{"vertices": [{"id": "u", "measure": true}]}'],
+                [],
+                "invalid rational 'True'",
+            ),
+            (
+                "analyze",
+                [_K2_TEXT],
+                ["--seed-independent-set", "u,zz"],
+                "unknown vertex id 'zz' in --seed-independent-set",
+            ),
+            (
+                "verify-hom",
+                [_K2_TEXT, _K2_TEXT, "[]"],
+                [],
+                "map file must be a JSON object of id -> id",
+            ),
+            (
+                "verify-hom",
+                [_K2_TEXT, _K2_TEXT, '{"u": "u", "v": "zz"}'],
+                [],
+                "map sends 'v' to unknown vertex 'zz'",
+            ),
+            (
+                "verify-hom",
+                [_K2_TEXT, _K2_TEXT, '{"u": "u", "v": "v", "w": "u"}'],
+                [],
+                "map mentions unknown vertices ['w']",
+            ),
+        ],
+    )
+    def test_exits_2_with_its_message(self, tmp_path, capsys, command, files, flags, message):
+        paths = []
+        for i, text in enumerate(files):
+            path = tmp_path / f"file{i}"
+            path.write_text(text)
+            paths.append(str(path))
+        assert main([command, *paths, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestOneCoverOneFlow:

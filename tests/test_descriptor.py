@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -274,6 +275,21 @@ class TestSerialization:
         for data in ([{"lo": "0/1", "hi": "1/2", "target": "nope"}], [["x"]], ["s"], [None]):
             with pytest.raises(ValueError, match="invalid interval piece"):
                 interval_hom_from_json(data, cover)
+
+    def test_exponent_endpoint_rejected_at_once(self, k2):
+        cover = build_double_cover(k2)
+        data = [{"lo": "1e-10000000", "hi": "1/2", "target": cover.labels[0]}]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="invalid interval piece"):
+            interval_hom_from_json(data, cover)
+        assert time.perf_counter() - start < 0.1
+
+    def test_long_endpoint_message_is_bounded(self, k2):
+        cover = build_double_cover(k2)
+        data = [{"lo": "1/" + "7" * 99_998, "hi": "x", "target": cover.labels[0]}]
+        with pytest.raises(ValueError, match="invalid interval piece") as info:
+            interval_hom_from_json(data, cover)
+        assert len(str(info.value).encode()) < 200
 
 
 class TestVerifyFiniteHom:

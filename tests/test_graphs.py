@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -95,6 +98,41 @@ class TestConstruction:
         g = path_graph(2)
         with pytest.raises(AttributeError):
             g.labels = ("x", "y")
+        with pytest.raises(AttributeError):
+            del g.adj
+        assert g.adj == (2, 1)
+
+    @pytest.mark.parametrize("read_measures", [False, True])
+    def test_copies_and_pickles_equal_the_graph(self, read_measures):
+        g = WeightedGraph(["1/2", "1/3", "1/6"], [(0, 1), (1, 2)], ["a", "b", "c"])
+        if read_measures:
+            g.measures
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g
+            assert hash(twin) == hash(g)
+            assert twin.measures == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+
+    def test_text_measures_are_p_q_integers_or_decimals(self):
+        g = WeightedGraph(["1/4", "0.25", "1/2"], [])
+        assert g.weights == (1, 1, 2) and g.scale == 4
+
+    @pytest.mark.parametrize("text", ["1e-10000000", "1E5", ".5e1"])
+    def test_exponent_text_rejected_at_once(self, text):
+        # Fraction() would expand the exponent into its full integer first.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent notation"):
+            WeightedGraph([text, "1"], [])
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("text", ["x/y", "1/0", "", "1/" + "3" * 100_000])
+    def test_invalid_text_message_is_bounded(self, text):
+        with pytest.raises(ValueError, match="invalid rational") as info:
+            WeightedGraph([text], [])
+        assert len(str(info.value)) < 200
+
+    def test_self_loop_names_the_label(self):
+        with pytest.raises(ValueError, match=r"^self-loop at 'b' rejected$"):
+            WeightedGraph([Fraction(1, 2)] * 2, [(0, 1), (1, 1)], ["a", "b"])
 
     @given(measured_graphs(max_vertices=4), measured_graphs(max_vertices=3), st.integers(1, 3))
     def test_integer_weights_over_the_least_scale(self, g, h, k):

@@ -17,6 +17,7 @@ from tensorindep import (
     WeightedGraph,
     alpha_bar,
     alpha_sequence,
+    classify,
     complete_graph,
     cycle_graph,
     is_independent,
@@ -30,7 +31,7 @@ from tensorindep import (
 from tensorindep import mwis
 from tensorindep.cli import load_graph
 from tensorindep.graphs import _integer_measures
-from tensorindep.mwis import MWIS_CAP
+from tensorindep.mwis import MWIS_CAP, default_power_cap
 
 from conftest import cyclic_garbage, measured_graphs
 from oracles import (
@@ -260,7 +261,15 @@ class TestOddCoverShortcut:
         assert seq.terms == (value,) * k
         assert not seq.truncated
 
-    def test_search_falls_back_when_the_cover_search_runs_out(self, monkeypatch, c5):
+    def test_search_falls_back_when_the_cover_search_runs_out(self, monkeypatch):
+        # Two triangles at 2/9 and 1/9 per vertex: alpha = 1/3, so L = 3 and
+        # the triangles are a cover; the measure is not uniform, so the
+        # transitivity stop does not apply either.
+        g = WeightedGraph(
+            [Fraction(2, 9)] * 3 + [Fraction(1, 9)] * 3,
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+        )
+        assert mwis._odd_cover_settles(g, Fraction(1, 3))
         built = []
         powers = mwis._powers
 
@@ -273,8 +282,8 @@ class TestOddCoverShortcut:
 
         monkeypatch.setattr(mwis, "_COVER_STEPS", 2)
         monkeypatch.setattr(mwis, "_powers", counted)
-        assert alpha_sequence(c5, 3).terms == (Fraction(2, 5),) * 3
-        assert built == [25, 125]
+        assert alpha_sequence(g, 3).terms == (Fraction(1, 3),) * 3
+        assert built == [36, 216]
 
     @pytest.mark.parametrize("steps, settled", [(112, False), (113, True)])
     def test_cover_search_step_count(self, monkeypatch, steps, settled):
@@ -325,6 +334,35 @@ class TestOddCoverShortcut:
         seq = alpha_sequence(complete_graph(3), 8)
         assert seq.terms == (Fraction(1, 3),) * 7
         assert seq.truncated
+
+
+class TestTransitiveStop:
+    """A uniform vertex-transitive base ends the searches after power 1."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_no_power_of_a_complete_graph_is_built(self, monkeypatch, n):
+        # K4 and up have no odd cover: L = n / (n - 2) is not an odd integer.
+        g = complete_graph(n)
+        assert not mwis._odd_cover_settles(g, Fraction(1, n))
+        _refuse_powers(monkeypatch)
+        seq = alpha_sequence(g, default_power_cap(n))
+        assert seq.terms == (Fraction(1, n),) * default_power_cap(n)
+        assert not seq.truncated
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_complete_graphs_classify_at_once(self, n):
+        g = complete_graph(n)
+        start = time.perf_counter()
+        verdict = classify(g)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.rule == "vertex-transitive-uniform"
+        terms = verdict.certificate.alpha_terms
+        assert len(terms) == default_power_cap(n)
+        # Every filled term that can be searched in a moment is the search's.
+        searched = [k for k in range(1, len(terms) + 1) if n**k <= 400]
+        assert len(searched) >= 2
+        for k in searched:
+            assert terms[k - 1] == alpha_bar(tensor_power(g, k)).value
 
 
 def _plain_path_dp(weights: list[int]) -> int:

@@ -177,3 +177,77 @@ def test_row_unions_are_found():
         "    return total\n"
     )
     assert row_unions(tree) == [(4, "neighbours"), (10, "grow")]
+
+
+def _numeric_literal(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and not isinstance(node.value, bool)
+    )
+
+
+def fraction_parses(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each one-argument ``Fraction`` call in ``tree``.
+
+    A call whose one argument is a numeric literal, ``Fraction(1)`` say,
+    parses nothing and is left out, as are calls with a numerator and a
+    denominator. The name is the module's followed by the classes and
+    functions that hold the call.
+    """
+    found = []
+    stack: list[tuple[ast.AST, str]] = [(tree, module)]
+    while stack:
+        node, name = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}"
+            elif (
+                isinstance(child, ast.Call)
+                and _names(child.func, "Fraction")
+                and len(child.args) + len(child.keywords) == 1
+                and not (child.args and _numeric_literal(child.args[0]))
+            ):
+                found.append((child.lineno, name))
+            stack.append((child, inner))
+    return sorted(found)
+
+
+def test_outside_values_become_fractions_only_in_rational():
+    # graphs._rational holds the one guard against exponent notation, so
+    # every parse of an outside value goes through it.
+    found = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, name in fraction_parses(ast.parse(path.read_text(), str(path)), path.stem)
+    }
+    assert found == {"graphs._rational"}
+
+
+def test_fraction_parses_are_found():
+    tree = ast.parse(
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "HALF = Fraction(1, 2)\n"
+        "ONE = Fraction(1)\n"
+        "def read(text):\n"
+        "    return Fraction(text)\n"
+        "class Graph:\n"
+        "    def __init__(self, measures):\n"
+        "        self.m = [fractions.Fraction(m) for m in measures]\n"
+        "        self.neg = Fraction(-3)\n"
+        "        self.ratio = Fraction(len(measures), 2)\n"
+        "def outer():\n"
+        "    def inner(x):\n"
+        "        return Fraction(numerator=x)\n"
+        "    return inner, Fraction('1/2')\n"
+    )
+    assert fraction_parses(tree, "mod") == [
+        (6, "mod.read"),
+        (9, "mod.Graph.__init__"),
+        (14, "mod.outer.inner"),
+        (15, "mod.outer"),
+    ]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -302,6 +303,14 @@ class TestProjection:
                 image.encode([view.decode(i)[p] for p in kept]) for i in range(view.size)
             ]
             assert projection_hom(view, keep) == expected
+
+    @pytest.mark.parametrize("exponent", [13, 10**9])
+    def test_oversized_power_refused_at_once(self, k3, exponent):
+        # 3**13 = 1,594,323 entries is over the cap, as in tensor_power.
+        start = time.perf_counter()
+        with pytest.raises(SizeCapExceeded, match=rf"3\*\*{exponent} vertices exceeds cap"):
+            projection_hom(TensorPowerView(k3, exponent), [0])
+        assert time.perf_counter() - start < 0.1
 
     def test_keep_validation(self, k2):
         view = TensorPowerView(k2, 2)
