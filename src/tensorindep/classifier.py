@@ -19,6 +19,12 @@ descriptor:
 
 Every verdict carries a certified upper bound 1 or 1/2 and a checkable
 certificate; below 1 it holds the descriptor read off the rule 1 flow.
+
+Majority sets, the vertices of G^n with more than half their coordinates
+in an independent set, are the lower-bound objects behind these limits.
+``majority_witness`` builds one as a bitmask and re-checks it with the
+``tensor`` kernels, which read its neighbourhood and weight in G^n off the
+base graph, so no row of the power is built.
 """
 
 from __future__ import annotations
@@ -34,11 +40,9 @@ from .errors import SizeCapExceeded
 from .graphs import (
     WeightedGraph,
     _rational,
-    _reach,
     bipartition,
     is_independent,
     is_vertex_transitive_uniform,
-    iter_bits,
     measure_of,
     neighborhood,
 )
@@ -49,7 +53,7 @@ from .hallflow import (
     violating_set_from_flow,
 )
 from .mwis import AlphaSequence, alpha_sequence, default_power_cap
-from .tensor import _nth_power
+from .tensor import _power_reach, _power_weight, _refuse_oversized
 
 
 class VerdictKind(Enum):
@@ -223,13 +227,16 @@ def majority_witness(g: WeightedGraph, independent: int, n: int) -> int:
     leading coordinate c moves each mask up by c times the current size.
     Both properties of the result follow from independence of the base
     set and the product measure, but they are re-verified rather than
-    trusted: no edge of g^n, read off its adjacency rows, joins two of
-    its vertices, and its exact measure, the sum of their integer weights
-    over ``g.scale**n``, equals the binomial tail at p = mu(independent).
+    trusted, on the base graph and the set's bitmask alone: its
+    neighbourhood in g^n (``tensor._power_reach``) misses it, and its
+    exact measure (``tensor._power_weight`` over ``g.scale**n``) equals
+    the binomial tail at p = mu(independent). No row or weight of g^n is
+    built, but a power over ``MATERIALIZATION_CAP`` vertices is refused
+    as in ``tensor_power``.
     """
     if not is_independent(g, independent):
         raise ValueError("set is not independent")
-    adj, weights = _nth_power(g, n)
+    _refuse_oversized(g.n, n)
     exactly = [1]
     size = 1
     for _ in range(n):
@@ -244,9 +251,9 @@ def majority_witness(g: WeightedGraph, independent: int, n: int) -> int:
     witness = 0
     for mask in exactly[n // 2 + 1 :]:
         witness |= mask
-    if _reach(adj, witness) & witness:
+    if _power_reach(g.adj, n, witness) & witness:
         raise AssertionError("majority set is not independent")
     expected = majority_set_measure(measure_of(g, independent), n)
-    if Fraction(sum([weights[v] for v in iter_bits(witness)]), g.scale**n) != expected:
+    if Fraction(_power_weight(g.weights, n, witness), g.scale**n) != expected:
         raise AssertionError("majority set measure disagrees with the binomial tail")
     return witness

@@ -16,10 +16,9 @@ Graph walks are written once, as two private helpers on raw adjacency
 rows: ``_reach`` is the union of the rows of a vertex set, and ``_walk``
 yields the breadth-first layers of a component as bitmasks, each with
 the union of its rows, so an edge inside a layer costs one AND to see.
-Neighborhoods, independence, bipartitions, the search's components and
-odd cycles, and the classifier's check of a majority set all read off
-them. The automorphism search behind the vertex-transitivity check is
-one loop over a stack.
+Neighborhoods, independence, bipartitions, and the search's components
+and odd cycles all read off them. The automorphism search behind the
+vertex-transitivity check is one loop over a stack.
 """
 
 from __future__ import annotations
@@ -41,14 +40,14 @@ def _rational(value) -> Fraction:
     """``value`` as a ``Fraction``; text is p/q, an integer or a plain decimal.
 
     ``Fraction("1e-2000000")`` would first spell out a 2,000,001-digit integer.
+    A float infinity, which JSON reads from ``1e400``, raises ``ValueError``
+    here like any other value that is no rational.
     """
-    if not isinstance(value, str):
-        return Fraction(value)
-    if re.search(r"[0-9.][eE]", value):
+    if isinstance(value, str) and re.search(r"[0-9.][eE]", value):
         raise ValueError(f"exponent notation in {reprlib.repr(value)} rejected; write p/q")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"invalid rational {reprlib.repr(value)}") from exc
 
 

@@ -29,6 +29,14 @@ Powers are built in one place: ``_powers`` yields the rows and weights of
 g, g^2, g^3, ... base first. ``tensor_power`` takes its n-th item and adds
 the labels; ``mwis.alpha_sequence`` searches each item as it comes and
 builds no graph for it.
+
+A question about one vertex set of g^n needs no power at all. Two
+kernels answer it from the base and a bitmask over g^n's vertices:
+``_power_reach`` gives the set's neighbourhood as one move per coordinate
+position, and ``_power_weight`` its integer weight by folding one leading
+coordinate at a time. ``classifier.majority_witness`` re-checks its sets
+with them, so that K3^12 costs megabytes, where its rows would take
+about 35 GB.
 """
 
 from __future__ import annotations
@@ -182,38 +190,104 @@ def _powers(g: WeightedGraph) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
 
 
 def _refuse_oversized(m: int, n: int) -> None:
-    """Raise ``SizeCapExceeded`` when m**n is over ``MATERIALIZATION_CAP``."""
+    """Refuse n < 1, and a power m**n over ``MATERIALIZATION_CAP`` vertices."""
+    if n < 1:
+        raise ValueError("power must be positive")
     if _power_exceeds(m, n, MATERIALIZATION_CAP):
         raise SizeCapExceeded(
             f"power too large: {m}**{n} vertices exceeds cap {MATERIALIZATION_CAP}"
         )
 
 
-def _nth_power(g: WeightedGraph, n: int) -> tuple[Sequence[int], Sequence[int]]:
-    """Adjacency rows and integer weights (over ``g.scale**n``) of g^n.
-
-    Refuses n < 1 and a power over ``MATERIALIZATION_CAP`` before
-    building anything.
-    """
-    if n < 1:
-        raise ValueError("power must be positive")
-    _refuse_oversized(g.n, n)
-    return next(islice(_powers(g), n - 1, None))
-
-
 def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
     """Iterated tensor product of ``n`` copies of ``g``; identity at n=1.
 
-    The rows and weights come from ``_powers``, and the graph is built
-    once, with flat labels.
+    Refuses n < 1 and a power over ``MATERIALIZATION_CAP`` before
+    building anything. The rows and weights come from ``_powers``, and
+    the graph is built once, with flat labels.
     """
-    adj, weights = _nth_power(g, n)
+    _refuse_oversized(g.n, n)
     if n == 1:
         return g
+    adj, weights = next(islice(_powers(g), n - 1, None))
     # product() enumerates the coordinate tuples in the same mixed-radix
     # order as the indices.
     labels = tuple("(" + ",".join(t) + ")" for t in product(g.labels, repeat=n))
     return WeightedGraph._from_parts(labels, tuple(weights), g.scale**n, tuple(adj))
+
+
+def _tiled(block: int, width: int, count: int) -> int:
+    """``count`` copies of ``block``, one every ``width`` bits from bit 0.
+
+    Built by doubling, so it costs about log2(count) shifts.
+    """
+    out = offset = 0
+    while count:
+        if count & 1:
+            out |= block << offset
+            offset += width
+        block |= block << width
+        width *= 2
+        count >>= 1
+    return out
+
+
+def _power_reach(adj: Sequence[int], n: int, mask: int) -> int:
+    """Neighbourhood in g^n of the vertex set ``mask``, g having rows ``adj``.
+
+    Two vertices of g^n are adjacent when every coordinate pair is, so
+    the neighbourhood is n moves, one per coordinate position: the set's
+    vertices with coordinate c there move to coordinate d, for every
+    neighbour d of c. A vertex's coordinate at a position with place
+    value P is c when its index lies in the c-th block of P bits of a
+    period of m * P bits, so the move is an AND with those blocks and a
+    shift by (d - c) * P. That is n * 2|E(g)| shifts of m^n-bit ints, and
+    no row of g^n is built.
+    """
+    m = len(adj)
+    neighbours = [list(iter_bits(row)) for row in adj]
+    size = place = m**n
+    for _ in range(n):
+        if not mask:
+            break
+        place //= m
+        first = _tiled((1 << place) - 1, m * place, size // (m * place))
+        moved = 0
+        for c, ds in enumerate(neighbours):
+            part = mask & first << c * place
+            if not part:
+                continue
+            for d in ds:
+                shift = (d - c) * place
+                moved |= part << shift if shift >= 0 else part >> -shift
+        mask = moved
+    return mask
+
+
+def _power_weight(weights: Sequence[int], n: int, mask: int) -> int:
+    """Integer weight, over ``scale**n``, of the vertex set ``mask`` of g^n.
+
+    A vertex weighs the product of its coordinates' weights, so the set
+    weighs the sum, over the leading coordinate c, of weights[c] times
+    the weight in g^(n-1) of the block of the set under c. ``parts`` maps
+    each distinct block of the current level to the factor it carries; a
+    majority set has at most n + 1 of them, one per count of coordinates
+    inside so far. No weight of g^n is built.
+    """
+    parts = {mask: 1}
+    place = len(weights) ** n
+    for _ in range(n):
+        place //= len(weights)
+        block = (1 << place) - 1
+        below: dict[int, int] = {}
+        for part, factor in parts.items():
+            for w in weights:
+                sub = part & block
+                part >>= place
+                if sub and w:
+                    below[sub] = below.get(sub, 0) + factor * w
+        parts = below
+    return parts.get(1, 0)
 
 
 def projection_hom(view: TensorPowerView, keep: Iterable[int]) -> list[int]:

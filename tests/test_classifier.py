@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from tensorindep import (
     build_descriptor,
     check_interval_hom,
     classify,
+    complete_graph,
     cycle_graph,
     is_independent,
     lower_bound_sequence,
@@ -354,11 +356,32 @@ class TestMajorityWitness:
             majority_witness(cycle_graph(5), mask_from([0, 2]), 9)
 
     def test_result_is_rechecked_on_the_power(self, p3, monkeypatch):
-        adj, weights = tensor._nth_power(p3, 3)
         full = (1 << 27) - 1
-        monkeypatch.setattr(classifier, "_nth_power", lambda g, n: ([full] * 27, weights))
-        with pytest.raises(AssertionError, match="not independent"):
-            majority_witness(p3, mask_from([0, 2]), 3)
-        monkeypatch.setattr(classifier, "_nth_power", lambda g, n: (adj, [0] * 27))
+        with monkeypatch.context() as patch:
+            patch.setattr(classifier, "_power_reach", lambda adj, n, mask: full)
+            with pytest.raises(AssertionError, match="not independent"):
+                majority_witness(p3, mask_from([0, 2]), 3)
+        monkeypatch.setattr(classifier, "_power_weight", lambda weights, n, mask: 0)
         with pytest.raises(AssertionError, match="binomial tail"):
             majority_witness(p3, mask_from([0, 2]), 3)
+
+    def test_builds_no_power(self, k2, p3, monkeypatch):
+        def refuse(g_adj, h_adj):
+            raise AssertionError("majority_witness built rows of a power")
+
+        monkeypatch.setattr(tensor, "_rows", refuse)
+        for g, independent in ((k2, 0b01), (p3, mask_from([0, 2])), (cycle_graph(5), 0b101)):
+            for n in range(1, 6):
+                witness = majority_witness(g, independent, n)
+                assert witness == brute_majority_set(g, independent, n)
+
+    def test_k3_twelfth_power_within_a_second(self):
+        # K3^12 has 531,441 vertices; its rows alone would take about 35 GB.
+        start = time.perf_counter()
+        witness = majority_witness(complete_graph(3), 0b001, 12)
+        assert time.perf_counter() - start < 1
+        # A vertex is inside when k > 6 of its coordinates are 0, and each
+        # of the other 12 - k coordinates is 1 or 2.
+        assert witness.bit_count() == sum(
+            math.comb(12, k) * 2 ** (12 - k) for k in range(7, 13)
+        )

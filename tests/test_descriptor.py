@@ -284,6 +284,14 @@ class TestSerialization:
             interval_hom_from_json(data, cover)
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "NaN"])
+    def test_non_finite_endpoint_rejected(self, k2, text):
+        # JSON reads these as float infinities and NaN.
+        cover = build_double_cover(k2)
+        data = [{"lo": json.loads(text), "hi": "1/2", "target": cover.labels[0]}]
+        with pytest.raises(ValueError, match="invalid interval piece"):
+            interval_hom_from_json(data, cover)
+
     def test_long_endpoint_message_is_bounded(self, k2):
         cover = build_double_cover(k2)
         data = [{"lo": "1/" + "7" * 99_998, "hi": "x", "target": cover.labels[0]}]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import random
 import time
@@ -129,6 +130,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="invalid rational") as info:
             WeightedGraph([text], [])
         assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "NaN"])
+    def test_non_finite_measure_is_an_invalid_rational(self, text):
+        # JSON reads these as float infinities and NaN, which Fraction
+        # refuses with OverflowError and ValueError.
+        with pytest.raises(ValueError, match=r"^invalid rational (inf|-inf|nan)$"):
+            WeightedGraph([json.loads(text), "1"], [])
 
     def test_self_loop_names_the_label(self):
         with pytest.raises(ValueError, match=r"^self-loop at 'b' rejected$"):

@@ -189,13 +189,11 @@ def _numeric_literal(node: ast.expr) -> bool:
     )
 
 
-def fraction_parses(tree: ast.Module, module: str) -> list[tuple[int, str]]:
-    """(line, qualified name) of each one-argument ``Fraction`` call in ``tree``.
+def qualified_calls(tree: ast.Module, module: str) -> list[tuple[ast.Call, str]]:
+    """Each call in ``tree`` with the qualified name of what holds it.
 
-    A call whose one argument is a numeric literal, ``Fraction(1)`` say,
-    parses nothing and is left out, as are calls with a numerator and a
-    denominator. The name is the module's followed by the classes and
-    functions that hold the call.
+    The name is the module's followed by the classes and functions that
+    hold the call.
     """
     found = []
     stack: list[tuple[ast.AST, str]] = [(tree, module)]
@@ -205,15 +203,26 @@ def fraction_parses(tree: ast.Module, module: str) -> list[tuple[int, str]]:
             inner = name
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{name}.{child.name}"
-            elif (
-                isinstance(child, ast.Call)
-                and _names(child.func, "Fraction")
-                and len(child.args) + len(child.keywords) == 1
-                and not (child.args and _numeric_literal(child.args[0]))
-            ):
-                found.append((child.lineno, name))
+            elif isinstance(child, ast.Call):
+                found.append((child, name))
             stack.append((child, inner))
-    return sorted(found)
+    return found
+
+
+def fraction_parses(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each one-argument ``Fraction`` call in ``tree``.
+
+    A call whose one argument is a numeric literal, ``Fraction(1)`` say,
+    parses nothing and is left out, as are calls with a numerator and a
+    denominator.
+    """
+    return sorted(
+        (call.lineno, name)
+        for call, name in qualified_calls(tree, module)
+        if _names(call.func, "Fraction")
+        and len(call.args) + len(call.keywords) == 1
+        and not (call.args and _numeric_literal(call.args[0]))
+    )
 
 
 def test_outside_values_become_fractions_only_in_rational():
@@ -250,4 +259,48 @@ def test_fraction_parses_are_found():
         (9, "mod.Graph.__init__"),
         (14, "mod.outer.inner"),
         (15, "mod.outer"),
+    ]
+
+
+def power_builds(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each call of ``_powers`` or ``_rows`` in ``tree``."""
+    return sorted(
+        (call.lineno, name)
+        for call, name in qualified_calls(tree, module)
+        if _names(call.func, "_powers") or _names(call.func, "_rows")
+    )
+
+
+def test_powers_are_built_only_in_tensor_and_the_sequence():
+    # A question about one set of a power (the majority set re-checks) is
+    # answered from the base by tensor's kernels; only the search of each
+    # power in the sequence needs its rows.
+    found = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, name in power_builds(ast.parse(path.read_text(), str(path)), path.stem)
+        if not name.startswith("tensor.")
+    }
+    assert found == {"mwis.alpha_sequence"}
+
+
+def test_power_builds_are_found():
+    tree = ast.parse(
+        "from tensorindep import tensor\n"
+        "from tensorindep.tensor import _powers\n"
+        "def recheck(g, n):\n"
+        "    adj, weights = next(islice(_powers(g), n - 1, None))\n"
+        "    return adj\n"
+        "class Checker:\n"
+        "    def rows(self, g):\n"
+        "        return tensor._rows(g.adj, g.adj)\n"
+        "def unrelated(g):\n"
+        "    powers = [tensor.tensor_power(g, 2)]\n"
+        "    return powers, g._rows\n"
+        "TABLE = _rows([1], [1])\n"
+    )
+    assert power_builds(tree, "mod") == [
+        (4, "mod.recheck"),
+        (8, "mod.Checker.rows"),
+        (12, "mod"),
     ]

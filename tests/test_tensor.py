@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorindep import tensor
 from tensorindep import (
     SizeCapExceeded,
     TensorPowerView,
@@ -320,6 +322,50 @@ class TestProjection:
             projection_hom(view, [0, 1])
         with pytest.raises(ValueError):
             projection_hom(view, [5])
+
+
+def _seeded_base(seed: int) -> WeightedGraph:
+    """Base on 2-5 vertices with seeded edges and weights 0-3, some zero."""
+    rng = random.Random(seed)
+    m = rng.randint(2, 5)
+    weights = [rng.randint(0, 3) for _ in range(m)]
+    weights[rng.randrange(m)] = 0
+    weights[rng.randrange(m)] += 1
+    edges = [e for e in combinations(range(m), 2) if rng.random() < 0.5]
+    return _weighted(weights, edges)
+
+
+# SHARED_ROW_BASES already have an isolated vertex, twins and zero weights.
+KERNEL_BASES = {
+    **SHARED_ROW_BASES,
+    "one vertex": WeightedGraph([1], []),
+    **{f"seed {seed}": _seeded_base(seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BASES))
+def test_power_kernels_match_the_materialized_power(name):
+    # The neighbourhood and weight of a set of g^n, read off the base
+    # alone, against the union of the power's rows from the definition
+    # and the sum of the built power's weights.
+    g = KERNEL_BASES[name]
+    rng = random.Random(name)
+    for n in range(1, 6):
+        size = g.n**n
+        if size > 2500:
+            break
+        rows = reference_power_rows(list(g.adj), n)
+        power = tensor_power(g, n)
+        sparse = rng.getrandbits(size) & rng.getrandbits(size)
+        for mask in (0, (1 << size) - 1, rng.getrandbits(size), sparse):
+            reach = 0
+            weight = 0
+            for v in range(size):
+                if mask >> v & 1:
+                    reach |= rows[v]
+                    weight += power.weights[v]
+            assert tensor._power_reach(g.adj, n, mask) == reach
+            assert tensor._power_weight(g.weights, n, mask) == weight
 
 
 @given(measured_graphs(max_vertices=3), st.integers(1, 3))
