@@ -204,8 +204,9 @@ def lower_bound_sequence(g: WeightedGraph, independent: int, count: int) -> Boun
 def majority_set_measure(p: Fraction | str, n: int) -> Fraction:
     """Probability that strictly more than half of n independent trials hit.
 
-    Exact binomial tail: sum over k > n/2 of C(n,k) p^k (1-p)^(n-k). Text
-    ``p`` is read by ``graphs._rational``, which refuses exponents.
+    Exact binomial tail: sum over k > n/2 of C(n,k) p^k (1-p)^(n-k). ``p``
+    is read by ``graphs._rational``, which refuses exponents, floats and
+    bools.
     """
     p = _rational(p)
     if not 0 <= p <= 1:

@@ -23,15 +23,14 @@ import functools
 import json
 import reprlib
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .classifier import VerdictKind, classify, lower_bound_sequence
 from .descriptor import build_descriptor, interval_hom_to_json, verify_finite_hom
 from .errors import SaturationRequired, SizeCapExceeded
-from .graphs import WeightedGraph, iter_bits, mask_from
+from .graphs import WeightedGraph, _frac_str, iter_bits, mask_from
 from .mwis import MWIS_CAP, alpha_bar, alpha_sequence, default_power_cap
-from .tensor import _power_exceeds, tensor_power
+from .tensor import _largest_power, tensor_power
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -42,10 +41,6 @@ EXIT_VERIFICATION = 5
 
 class DocumentError(ValueError):
     """The input file failed to parse or validate."""
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_graph_json(text: str) -> WeightedGraph:
@@ -284,7 +279,7 @@ def cmd_alpha(args) -> int:
     g = load_graph(args.path)
     if args.power < 1:
         raise DocumentError("--power must be positive")
-    if _power_exceeds(g.n, args.power, MWIS_CAP):
+    if _largest_power(g.n, args.power, MWIS_CAP) < args.power:
         raise SizeCapExceeded(
             f"search too large: {g.n}**{args.power} vertices exceeds cap {MWIS_CAP}"
         )

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import SaturationRequired
-from .graphs import WeightedGraph, _integer_measures, _rational
-from .hallflow import HALF, FlowResult, cover_flow
+from .graphs import WeightedGraph, _frac_str, _integer_measures, _rational
+from .hallflow import HALF, FlowResult, _cover_edge_flows, cover_flow
 from .hallflow import max_flow  # noqa: F401  still bound here for bench/tests/test_bench.py
 
 
@@ -66,7 +66,9 @@ def descriptor_from_flow(cover: WeightedGraph, result: FlowResult) -> Descriptor
     """Construct the interval map from a maximum flow on the cover's network.
 
     Requires the flow to saturate at exactly 1/2 (no violating set);
-    otherwise no such map exists and SaturationRequired is raised.
+    otherwise no such map exists and SaturationRequired is raised. The
+    cover edges and their flows come from ``hallflow._cover_edge_flows``,
+    in the network's arc order, which fixes the order of the tiles.
     Zero-flow edges contribute no piece. Pieces are listed by left
     endpoint, base tiles first, mirrors after, so with k tiles, pieces i
     and i + k target the two ends of the cover edge whose flow made them.
@@ -77,14 +79,12 @@ def descriptor_from_flow(cover: WeightedGraph, result: FlowResult) -> Descriptor
         )
     scale = result.scale
     half = scale // 2
-    # The cover edges are the middle run of condition_network's arcs, one
-    # A-side vertex after another; positions count units of 1/scale.
-    middle = slice(cover.n // 2, len(result.arc_flows) - cover.n // 2)
+    # Positions count units of 1/scale.
     base_pieces = []
     mirror_pieces = []
     position = 0
     lo, mirror_lo = Fraction(0), HALF
-    for (x, y, _), f in zip(result.network.arcs[middle], result.arc_flows[middle]):
+    for x, y, f in _cover_edge_flows(result):
         if f == 0:
             continue
         position += f
@@ -193,14 +193,13 @@ def verify_finite_hom(
 
 
 def interval_hom_to_json(hom: IntervalHom, cover: WeightedGraph) -> list[dict]:
-    """Serialize pieces as {lo, hi, target-label} dicts in piece order."""
+    """Serialize pieces as {lo, hi, target-label} dicts in piece order.
+
+    Endpoints are p/q text from ``graphs._frac_str``.
+    """
     labels = cover.labels
     return [
-        {
-            "lo": f"{p.lo.numerator}/{p.lo.denominator}",
-            "hi": f"{p.hi.numerator}/{p.hi.denominator}",
-            "target": labels[p.target],
-        }
+        {"lo": _frac_str(p.lo), "hi": _frac_str(p.hi), "target": labels[p.target]}
         for p in hom.pieces
     ]
 

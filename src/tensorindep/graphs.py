@@ -8,9 +8,11 @@ denominator ``scale``: the least one, so ``scale == sum(weights)``. Every
 layer computes on those integers, and strict comparisons such as "this
 set outweighs its neighborhood" are decided exactly; no float ever enters
 the arithmetic. ``measures`` is the same measure as
-:class:`fractions.Fraction` values, for display and for callers. Text
-becomes a ``Fraction`` only in ``_rational``, which refuses exponents.
-Graphs are frozen dataclasses, so they can be copied and pickled.
+:class:`fractions.Fraction` values, for display and for callers. This
+module owns the p/q text of a rational both ways: an outside value
+becomes a ``Fraction`` only in ``_rational``, which refuses exponents,
+floats and bools, and ``_frac_str`` writes the p/q text that reports
+carry. Graphs are frozen dataclasses, so they can be copied and pickled.
 
 Graph walks are written once, as two private helpers on raw adjacency
 rows: ``_reach`` is the union of the rows of a vertex set, and ``_walk``
@@ -37,18 +39,27 @@ TRANSITIVITY_CAP = 16
 
 
 def _rational(value) -> Fraction:
-    """``value`` as a ``Fraction``; text is p/q, an integer or a plain decimal.
+    """``value`` as a ``Fraction``: a ``Fraction``, an ``int``, or text.
 
-    ``Fraction("1e-2000000")`` would first spell out a 2,000,001-digit integer.
-    A float infinity, which JSON reads from ``1e400``, raises ``ValueError``
-    here like any other value that is no rational.
+    Text is p/q, an integer or a plain decimal. ``Fraction("1e-2000000")``
+    would first spell out a 2,000,001-digit integer, so exponents are
+    refused. A float or a bool raises ``ValueError`` like any other value
+    that is no exact rational: ``0.1`` would enter as its binary fraction
+    and ``True`` as 1, and JSON reads ``1e400`` as a float infinity.
     """
     if isinstance(value, str) and re.search(r"[0-9.][eE]", value):
         raise ValueError(f"exponent notation in {reprlib.repr(value)} rejected; write p/q")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"invalid rational {reprlib.repr(value)}") from exc
+    if isinstance(value, (str, int, Fraction)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"invalid rational {reprlib.repr(value)}")
+
+
+def _frac_str(q: Fraction) -> str:
+    """``q`` as the p/q text that ``_rational`` reads back; 1 is "1/1"."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 def _brief(q: Fraction) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import (
     WeightedGraph,
@@ -102,7 +102,7 @@ def condition_network(cover: WeightedGraph) -> FlowNetwork:
     vertex order and y increasing; each B-side vertex y to the sink with
     capacity mu'(y), in vertex order. ``max_flow`` takes its augmenting
     paths, and so its flow and cut, from this order, and
-    ``descriptor_from_flow`` reads the middle run's flows by position in it.
+    ``_cover_edge_flows`` hands out the middle run's flows in it.
     Capacities are integers over ``cover.scale``: the cover's weights, and
     ``BIG`` times the scale.
     """
@@ -231,6 +231,19 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     cut = mask_from(reached[1:])
     # The reverse of arc i starts empty and holds exactly its flow.
     return FlowResult(Fraction(total, net.scale), net.scale, tuple(cap[1::2]), cut, net)
+
+
+def _cover_edge_flows(result: FlowResult) -> Iterator[tuple[int, int, int]]:
+    """(x, y, flow) for each cover edge x-y, in arc order.
+
+    The flow is an integer number of units of ``1 / result.scale``. The
+    cover edges are the middle run of ``condition_network``'s arcs, after
+    one source arc and before one sink arc per cover vertex of a side.
+    """
+    side = result.network.graph_nodes // 2
+    middle = slice(side, len(result.arc_flows) - side)
+    for (x, y, _), f in zip(result.network.arcs[middle], result.arc_flows[middle]):
+        yield x, y, f
 
 
 def cover_flow(g: WeightedGraph) -> tuple[WeightedGraph, FlowResult]:

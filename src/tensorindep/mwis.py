@@ -83,7 +83,7 @@ from .graphs import (
     iter_bits,
     mask_from,
 )
-from .tensor import _powers
+from .tensor import _largest_power, _powers
 
 #: Largest vertex count the independent-set search accepts.
 MWIS_CAP = 4096
@@ -94,13 +94,14 @@ _COVER_STEPS = 20_000
 
 
 def default_power_cap(vertex_count: int) -> int:
-    """Largest exponent whose power stays within ``MWIS_CAP`` (at least 1)."""
+    """Largest exponent whose power stays within ``MWIS_CAP`` (at least 1).
+
+    ``tensor._largest_power`` decides what fits; a one-vertex base, whose
+    every power fits, gets 1.
+    """
     if vertex_count <= 1:
         return 1
-    n = 1
-    while vertex_count ** (n + 1) <= MWIS_CAP:
-        n += 1
-    return n
+    return max(1, _largest_power(vertex_count, MWIS_CAP, MWIS_CAP))
 
 
 @dataclass(frozen=True)
@@ -449,10 +450,12 @@ def alpha_sequence(
 ) -> AlphaSequence:
     """Exact values for g^1 .. g^n_max, stopping early at the size cap.
 
-    The last power is fixed before any search: ``n_max`` for a one-vertex
-    base, 0 when g has more than ``MWIS_CAP`` vertices, and otherwise at
-    most ``default_power_cap(g.n)``; the sequence is ``truncated`` when it
-    is below ``n_max``. The searches end at a term equal to ``_ceiling``
+    The last power is fixed before any search, by one call of
+    ``tensor._largest_power``: the largest k <= ``n_max`` with g^k within
+    ``MWIS_CAP`` vertices. That is ``n_max`` for a one-vertex base, 0 when g
+    has more than ``MWIS_CAP`` vertices, and otherwise at most
+    ``default_power_cap(g.n)``; the sequence is ``truncated`` when it is
+    below ``n_max``. The searches end at a term equal to ``_ceiling``
     (1 by default; the classifier passes 1/2 when no set is violating),
     which no power exceeds, or after power 1 when an odd cycle cover
     proves alpha(g^n) <= alpha(g) or g is uniform, vertex transitive and
@@ -462,12 +465,7 @@ def alpha_sequence(
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if g.n == 1:
-        last = n_max
-    elif g.n > MWIS_CAP:
-        last = 0
-    else:
-        last = min(n_max, default_power_cap(g.n))
+    last = _largest_power(g.n, n_max, MWIS_CAP)
     terms: list[Fraction] = []
     # zip asks the range first, so no power past ``last`` is built.
     for k, (adj, weights) in zip(range(1, last + 1), _powers(g)):

@@ -28,7 +28,8 @@ factor's scale is the sum of its weights, so is the product's, and no
 Powers are built in one place: ``_powers`` yields the rows and weights of
 g, g^2, g^3, ... base first. ``tensor_power`` takes its n-th item and adds
 the labels; ``mwis.alpha_sequence`` searches each item as it comes and
-builds no graph for it.
+builds no graph for it. Whether a power fits a cap is decided in one
+place as well: ``_largest_power`` gives the largest exponent within it.
 
 A question about one vertex set of g^n needs no power at all. Two
 kernels answer it from the base and a bitmask over g^n's vertices:
@@ -159,20 +160,21 @@ def power_adjacent(view: TensorPowerView, a: Sequence[int], b: Sequence[int]) ->
     return all(adj[x] >> y & 1 for x, y in zip(a, b))
 
 
-def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
-    """Whether ``base ** exponent`` exceeds ``cap``, for ``exponent >= 1``.
+def _largest_power(m: int, limit: int, cap: int) -> int:
+    """The largest k <= ``limit`` with ``m**k <= cap``; ``limit`` itself when m < 2.
 
-    The product stops growing once it passes the cap, so a huge exponent
-    costs at most about log2(cap) multiplications, not a huge integer.
+    The one test of whether a power of an m-vertex graph fits a cap. It is
+    0 when m > cap. The running product stops once it passes the cap, so a
+    huge ``limit`` costs at most about log2(cap) multiplications, not a
+    huge integer.
     """
-    if base < 2:
-        return base > cap
-    size = 1
-    for _ in range(exponent):
-        size *= base
-        if size > cap:
-            return True
-    return False
+    if m < 2:
+        return limit
+    k, size = 0, m
+    while k < limit and size <= cap:
+        k += 1
+        size *= m
+    return k
 
 
 def _powers(g: WeightedGraph) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
@@ -193,7 +195,7 @@ def _refuse_oversized(m: int, n: int) -> None:
     """Refuse n < 1, and a power m**n over ``MATERIALIZATION_CAP`` vertices."""
     if n < 1:
         raise ValueError("power must be positive")
-    if _power_exceeds(m, n, MATERIALIZATION_CAP):
+    if _largest_power(m, n, MATERIALIZATION_CAP) < n:
         raise SizeCapExceeded(
             f"power too large: {m}**{n} vertices exceeds cap {MATERIALIZATION_CAP}"
         )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,26 @@ class TestClassify:
                 if verdict.kind is VerdictKind.INTERVAL:
                     assert verdict.hi == HALF
 
+    def test_census_verdict_counts(self):
+        # The census: every labeled graph on at most 5 vertices with the
+        # uniform measure, 1,099 of them. Verdicts are counted by kind,
+        # rule and value, or lo for an interval.
+        counts = Counter()
+        for g in all_uniform_graphs(5):
+            verdict = classify(g, 2)
+            value = verdict.lo if verdict.kind is VerdictKind.INTERVAL else verdict.value
+            counts[verdict.kind.value, verdict.rule, value] += 1
+        assert counts == {
+            ("ExactOne", "violating-independent-set", 1): 677,
+            ("ExactHalf", "alpha-reaches-half+descriptor", HALF): 37,
+            ("ExactValue", "vertex-transitive-uniform", Fraction(1, 3)): 1,
+            ("ExactValue", "vertex-transitive-uniform", Fraction(1, 4)): 1,
+            ("ExactValue", "vertex-transitive-uniform", Fraction(1, 5)): 1,
+            ("ExactValue", "vertex-transitive-uniform", Fraction(2, 5)): 12,
+            ("Interval", "alpha-bracket+descriptor", Fraction(11, 25)): 150,
+            ("Interval", "alpha-bracket+descriptor", Fraction(2, 5)): 220,
+        }
+
 
 class TestLowerBoundSequence:
     def test_recursion_from_isolated_reservoir(self):
@@ -255,6 +276,31 @@ class TestLowerBoundSequence:
         for k in range(3):
             power = tensor_power(g, k + 1)
             assert bounds.terms[k] <= alpha_bar(power).value
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: lower_bound_sequence(cycle_graph(5), 1, 0),
+            r"^count must be positive$",
+            id="no-bound",
+        ),
+        pytest.param(
+            lambda: majority_set_measure(HALF, 0), r"^n must be positive$", id="no-trial"
+        ),
+        # Neither is an exact rational: 0.5 is a float, True is 1.
+        pytest.param(
+            lambda: majority_set_measure(0.5, 3), r"^invalid rational 0\.5$", id="float-p"
+        ),
+        pytest.param(
+            lambda: majority_set_measure(True, 3), r"^invalid rational True$", id="bool-p"
+        ),
+    ],
+)
+def test_public_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestMajorityMeasure:

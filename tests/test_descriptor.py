@@ -17,6 +17,7 @@ from tensorindep import (
     build_descriptor,
     build_double_cover,
     check_interval_hom,
+    complete_graph,
     interval_hom_from_json,
     interval_hom_to_json,
     projection_hom,
@@ -337,3 +338,42 @@ class TestVerifyFiniteHom:
         assert verify_finite_hom(second, power, cover)
         composed = [first[second[v]] for v in range(power.n)]
         assert verify_finite_hom(composed, power, g)
+
+
+K2_COVER = build_double_cover(complete_graph(2))
+
+
+def _piece_json(lo, hi) -> list[dict]:
+    return [{"lo": lo, "hi": hi, "target": K2_COVER.labels[0]}]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: verify_finite_hom([0, 2], complete_graph(2), complete_graph(2)),
+            r"^mapping image out of range$",
+            id="image-outside",
+        ),
+        pytest.param(
+            lambda: interval_hom_from_json([], K2_COVER.relabeled(["x"] * 4)),
+            "^cover labels are not unique",
+            id="repeated-labels",
+        ),
+        # The format writes endpoints as p/q strings; a JSON false or 0.5
+        # is no exact rational.
+        pytest.param(
+            lambda: interval_hom_from_json(_piece_json(False, "1/2"), K2_COVER),
+            r"^invalid interval piece .*'lo': False,",
+            id="bool-endpoint",
+        ),
+        pytest.param(
+            lambda: interval_hom_from_json(_piece_json("0/1", 0.5), K2_COVER),
+            r"^invalid interval piece .*'hi': 0\.5,",
+            id="float-endpoint",
+        ),
+    ],
+)
+def test_public_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

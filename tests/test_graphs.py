@@ -360,3 +360,33 @@ def test_families():
     assert complete_graph(5).edge_count() == 10
     assert star_graph(4).degree(0) == 4
     assert sum(star_graph(4).measures) == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: WeightedGraph([], []), "at least one vertex", id="no-vertex"),
+        pytest.param(
+            lambda: WeightedGraph(["1"], [], ["a", "b"]), r"^2 labels for 1 vertices$", id="labels"
+        ),
+        pytest.param(
+            lambda: path_graph(2).relabeled(["a"]), r"^1 labels for 2 vertices$", id="relabeled"
+        ),
+        pytest.param(
+            lambda: neighborhood(path_graph(2), 0b100),
+            r"^vertex set 0b100 not within the 2-vertex range$",
+            id="set-outside",
+        ),
+        pytest.param(lambda: cycle_graph(2), "at least 3 vertices", id="cycle-of-two"),
+        # Neither is an exact rational: 0.1 is a binary fraction, True is 1.
+        pytest.param(
+            lambda: WeightedGraph([0.1, 0.9], []), r"^invalid rational 0\.1$", id="float-measure"
+        ),
+        pytest.param(
+            lambda: WeightedGraph([True, False], []), r"^invalid rational True$", id="bool-measure"
+        ),
+    ],
+)
+def test_public_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

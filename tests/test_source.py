@@ -189,11 +189,13 @@ def _numeric_literal(node: ast.expr) -> bool:
     )
 
 
-def qualified_calls(tree: ast.Module, module: str) -> list[tuple[ast.Call, str]]:
-    """Each call in ``tree`` with the qualified name of what holds it.
+def qualified_nodes(
+    tree: ast.Module, module: str, kind: type[ast.AST] = ast.Call
+) -> list[tuple[ast.AST, str]]:
+    """Each node of type ``kind`` in ``tree`` with the qualified name of what holds it.
 
     The name is the module's followed by the classes and functions that
-    hold the call.
+    hold the node.
     """
     found = []
     stack: list[tuple[ast.AST, str]] = [(tree, module)]
@@ -203,10 +205,19 @@ def qualified_calls(tree: ast.Module, module: str) -> list[tuple[ast.Call, str]]
             inner = name
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{name}.{child.name}"
-            elif isinstance(child, ast.Call):
+            elif isinstance(child, kind):
                 found.append((child, name))
             stack.append((child, inner))
     return found
+
+
+def package_findings(finder) -> set[str]:
+    """Qualified names of what ``finder(tree, module)`` reports in the package."""
+    return {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, name in finder(ast.parse(path.read_text(), str(path)), path.stem)
+    }
 
 
 def fraction_parses(tree: ast.Module, module: str) -> list[tuple[int, str]]:
@@ -218,7 +229,7 @@ def fraction_parses(tree: ast.Module, module: str) -> list[tuple[int, str]]:
     """
     return sorted(
         (call.lineno, name)
-        for call, name in qualified_calls(tree, module)
+        for call, name in qualified_nodes(tree, module)
         if _names(call.func, "Fraction")
         and len(call.args) + len(call.keywords) == 1
         and not (call.args and _numeric_literal(call.args[0]))
@@ -228,12 +239,7 @@ def fraction_parses(tree: ast.Module, module: str) -> list[tuple[int, str]]:
 def test_outside_values_become_fractions_only_in_rational():
     # graphs._rational holds the one guard against exponent notation, so
     # every parse of an outside value goes through it.
-    found = {
-        name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for _, name in fraction_parses(ast.parse(path.read_text(), str(path)), path.stem)
-    }
-    assert found == {"graphs._rational"}
+    assert package_findings(fraction_parses) == {"graphs._rational"}
 
 
 def test_fraction_parses_are_found():
@@ -266,7 +272,7 @@ def power_builds(tree: ast.Module, module: str) -> list[tuple[int, str]]:
     """(line, qualified name) of each call of ``_powers`` or ``_rows`` in ``tree``."""
     return sorted(
         (call.lineno, name)
-        for call, name in qualified_calls(tree, module)
+        for call, name in qualified_nodes(tree, module)
         if _names(call.func, "_powers") or _names(call.func, "_rows")
     )
 
@@ -275,13 +281,8 @@ def test_powers_are_built_only_in_tensor_and_the_sequence():
     # A question about one set of a power (the majority set re-checks) is
     # answered from the base by tensor's kernels; only the search of each
     # power in the sequence needs its rows.
-    found = {
-        name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for _, name in power_builds(ast.parse(path.read_text(), str(path)), path.stem)
-        if not name.startswith("tensor.")
-    }
-    assert found == {"mwis.alpha_sequence"}
+    found = package_findings(power_builds)
+    assert {name for name in found if not name.startswith("tensor.")} == {"mwis.alpha_sequence"}
 
 
 def test_power_builds_are_found():
@@ -304,3 +305,102 @@ def test_power_builds_are_found():
         (8, "mod.Checker.rows"),
         (12, "mod"),
     ]
+
+
+def p_q_fstrings(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each f-string formatting a ``.numerator`` and a ``.denominator``."""
+    found = []
+    for node, name in qualified_nodes(tree, module, ast.JoinedStr):
+        read = {
+            attr.attr
+            for value in node.values
+            if isinstance(value, ast.FormattedValue)
+            for attr in ast.walk(value.value)
+            if isinstance(attr, ast.Attribute)
+        }
+        if {"numerator", "denominator"} <= read:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_p_q_text_is_written_only_in_graphs():
+    # graphs owns the p/q text of a rational: _rational reads it and
+    # _frac_str writes it for every report.
+    assert package_findings(p_q_fstrings) == {"graphs._frac_str"}
+
+
+def test_p_q_fstrings_are_found():
+    tree = ast.parse(
+        "def show(x):\n"
+        "    return f'{x.numerator}/{x.denominator}'\n"
+        "class Piece:\n"
+        "    def json(self):\n"
+        "        return {'lo': f'{self.lo.numerator}/{self.lo.denominator}'}\n"
+        "def other(x):\n"
+        "    return f'{x}', f'{x.numerator}' + f'/{x.denominator}', x.numerator\n"
+    )
+    assert p_q_fstrings(tree, "mod") == [(2, "mod.show"), (5, "mod.Piece.json")]
+
+
+def arc_reads(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each read of an attribute ``arcs`` or ``arc_flows``."""
+    return sorted(
+        (node.lineno, name)
+        for node, name in qualified_nodes(tree, module, ast.Attribute)
+        if node.attr in ("arcs", "arc_flows") and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_flow_network_arcs_are_read_only_in_hallflow():
+    # The order of the network's arcs is hallflow's: other modules take
+    # the flow on each cover edge from hallflow._cover_edge_flows.
+    found = package_findings(arc_reads)
+    assert {name for name in found if not name.startswith("hallflow.")} == set()
+
+
+def test_arc_reads_are_found():
+    tree = ast.parse(
+        "def tiles(result):\n"
+        "    return zip(result.network.arcs[1:-1], result.arc_flows[1:-1])\n"
+        "class View:\n"
+        "    def size(self):\n"
+        "        return len(self.net.arcs)\n"
+        "def other(net, arcs):\n"
+        "    net.arcs = arcs\n"
+        "    return arcs, net.arc_count\n"
+    )
+    assert arc_reads(tree, "mod") == [(2, "mod.tiles"), (2, "mod.tiles"), (5, "mod.View.size")]
+
+
+def power_comparisons(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each comparison with a ``**`` expression as an operand."""
+    return sorted(
+        (node.lineno, name)
+        for node, name in qualified_nodes(tree, module, ast.Compare)
+        if any(
+            isinstance(operand, ast.BinOp) and isinstance(operand.op, ast.Pow)
+            for operand in (node.left, *node.comparators)
+        )
+    )
+
+
+def test_power_sizes_are_compared_only_in_tensor():
+    # Whether m**n fits a cap is tensor._largest_power's question; its
+    # running product stops at the cap instead of building m**n.
+    found = package_findings(power_comparisons)
+    assert {name for name in found if not name.startswith("tensor.")} == set()
+
+
+def test_power_comparisons_are_found():
+    tree = ast.parse(
+        "def fits(m, n, cap):\n"
+        "    return m ** n <= cap\n"
+        "def grow(m, cap):\n"
+        "    n = 1\n"
+        "    while cap >= m ** (n + 1):\n"
+        "        n += 1\n"
+        "    return n\n"
+        "def checked(w, g, n, expected, cap):\n"
+        "    return Fraction(w, g.scale**n) != expected, g.n * n < cap\n"
+    )
+    assert power_comparisons(tree, "mod") == [(2, "mod.fits"), (5, "mod.grow")]

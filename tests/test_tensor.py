@@ -441,3 +441,28 @@ def test_alpha_sequence_terms_are_pinned(g, n_max, terms):
     seq = alpha_sequence(g, n_max)
     assert [str(t) for t in seq.terms] == terms
     assert not seq.truncated
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: TensorPowerView(complete_graph(2), 0),
+            r"^exponent must be positive$",
+            id="exponent-zero",
+        ),
+        pytest.param(
+            lambda: TensorPowerView(complete_graph(2), 2).decode(4),
+            r"^index 4 out of range$",
+            id="decode-past-end",
+        ),
+        pytest.param(
+            lambda: TensorPowerView(complete_graph(2), 2).decode(-1),
+            r"^index -1 out of range$",
+            id="decode-negative",
+        ),
+    ],
+)
+def test_public_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
