@@ -33,7 +33,7 @@ def names(g, mask):
 
 
 def run(name, g):
-    result = cover_flow(g)[1]
+    result = cover_flow(g)
     print(f"\n{name}")
     print(f"  max flow on the cover network: {result.value} (ceiling is 1/2)")
     q = violating_set_from_flow(g, result)

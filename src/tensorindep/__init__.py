@@ -49,7 +49,6 @@ from .hallflow import (
     cover_flow,
     independent_witness_from_set,
     violating_independent_set,
-    violating_set,
 )
 from .mwis import (
     AlphaResult,
@@ -112,5 +111,4 @@ __all__ = [
     "tensor_product",
     "verify_finite_hom",
     "violating_independent_set",
-    "violating_set",
 ]

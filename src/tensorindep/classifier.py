@@ -108,7 +108,7 @@ def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
         n_max = default_power_cap(g.n)
     elif n_max < 1:
         raise ValueError("n_max must be positive")
-    cover, flow = cover_flow(g)
+    flow = cover_flow(g)
     q = violating_set_from_flow(g, flow)
     if q is not None:
         witness = independent_witness_from_set(g, q)
@@ -119,7 +119,7 @@ def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
         )
 
     # No violating set: a descriptor exists, so the limit is at most 1/2.
-    descriptor = descriptor_from_flow(cover, flow)
+    descriptor = descriptor_from_flow(flow)
     # Every power is at most 1/2 now, so a power that reaches 1/2 ends the
     # searches and the later terms are 1/2.
     seq: AlphaSequence = alpha_sequence(g, n_max, _ceiling=HALF)

@@ -108,10 +108,7 @@ def _assemble(
                 f"edge [{reprlib.repr(a)}, {reprlib.repr(b)}] references an undeclared vertex"
             )
         edges.append((index[a], index[b]))
-    try:
-        return WeightedGraph(measures, edges, ids)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    return WeightedGraph(measures, edges, ids)
 
 
 def load_graph(path: str) -> WeightedGraph:
@@ -262,10 +259,7 @@ def cmd_analyze(args) -> int:
     seed_set = None
     if args.seed_independent_set:
         seed_set = _parse_seed_set(g, args.seed_independent_set)
-    try:
-        report, truncated = build_report(g, n_max, seed_set)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    report, truncated = build_report(g, n_max, seed_set)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -374,7 +368,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     same process. It names no handler: each call looks the ``cmd_*``
     function up by the command's name at call time, so a function put
     into this module's namespace later (a tracer's wrapper, say) is the
-    one that runs.
+    one that runs. Every ``ValueError`` a handler raises, a
+    ``DocumentError`` or the library's refusal of an input, exits 2 with
+    its message on stderr.
     """
     args = make_parser().parse_args(argv)
     handler = {
@@ -385,7 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except DocumentError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except SizeCapExceeded as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .errors import SaturationRequired
 from .graphs import WeightedGraph, _frac_str, _integer_measures, _rational
@@ -46,25 +46,28 @@ class IntervalHom:
 
 @dataclass(frozen=True)
 class DescriptorReport:
-    """Descriptor map, the 1/2 bound it certifies, and the cover it maps onto.
+    """Descriptor map and the double cover it maps onto.
 
     ``cover`` is the graph from ``build_double_cover``; piece targets are
-    its vertex indices.
+    its vertex indices. Every descriptor certifies the same bound, the
+    class constant ``upper_bound`` = 1/2, on the limit of the power values.
     """
 
+    upper_bound: ClassVar[Fraction] = HALF
+
     hom: IntervalHom
-    upper_bound: Fraction
     cover: WeightedGraph
 
 
 def build_descriptor(g: WeightedGraph) -> DescriptorReport:
     """The interval map read off the canonical maximum flow on the cover of ``g``."""
-    return descriptor_from_flow(*cover_flow(g))
+    return descriptor_from_flow(cover_flow(g))
 
 
-def descriptor_from_flow(cover: WeightedGraph, result: FlowResult) -> DescriptorReport:
-    """Construct the interval map from a maximum flow on the cover's network.
+def descriptor_from_flow(result: FlowResult) -> DescriptorReport:
+    """Construct the interval map from a maximum flow from ``hallflow.cover_flow``.
 
+    The map targets the cover the flow ran on, ``result.network.cover``.
     Requires the flow to saturate at exactly 1/2 (no violating set);
     otherwise no such map exists and SaturationRequired is raised. The
     cover edges and their flows come from ``hallflow._cover_edge_flows``,
@@ -77,7 +80,8 @@ def descriptor_from_flow(cover: WeightedGraph, result: FlowResult) -> Descriptor
         raise SaturationRequired(
             f"descriptor requires saturating flow, got value {result.value}"
         )
-    scale = result.scale
+    cover = result.network.cover
+    scale = cover.scale
     half = scale // 2
     # Positions count units of 1/scale.
     base_pieces = []
@@ -98,7 +102,7 @@ def descriptor_from_flow(cover: WeightedGraph, result: FlowResult) -> Descriptor
         raise AssertionError(
             f"edge flows tile [0,{Fraction(position, scale)}) instead of [0,1/2)"
         )
-    return DescriptorReport(IntervalHom(tuple(base_pieces + mirror_pieces)), HALF, cover)
+    return DescriptorReport(IntervalHom(tuple(base_pieces + mirror_pieces)), cover)
 
 
 def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Optional
 
 from .graphs import (
@@ -38,43 +37,34 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Source/sink network over the cover vertices, arcs in build order.
+    """Source/sink network over the vertices of ``cover``, arcs in build order.
 
-    Each arc is ``(u, v, capacity)``, the capacity an integer number of
-    units of ``1 / scale``.
+    The cover's vertices are the first ``cover.n`` nodes, the source is
+    node ``cover.n`` and the sink node ``cover.n + 1``. Each arc is
+    ``(u, v, capacity)``, the capacity an integer number of units of
+    ``1 / cover.scale``.
     """
 
-    graph_nodes: int
-    source: int
-    sink: int
+    cover: WeightedGraph
     arcs: tuple[tuple[int, int, int], ...]
-    scale: int
 
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Exact maximum flow with its canonical minimum cut.
+    """Exact maximum flow with its canonical minimum cut, and its network.
 
-    The flow on arc i of ``network.arcs`` is ``arc_flows[i] / scale``,
-    integers over the one common denominator the search ran on.
-    ``flows`` maps every arc ``(u, v)`` to its flow as a ``Fraction``; it
-    is built from ``arc_flows`` on first read and cached. ``cut_source_side``
-    is the bitmask of cover vertices reachable from the source in the
-    final residual network, which is the inclusion-minimal minimum cut.
+    The flow on arc i of ``network.arcs`` is ``arc_flows[i]`` units of
+    ``1 / network.cover.scale``, the one common denominator the search
+    ran on. ``cut_source_side`` is the bitmask of cover vertices reachable
+    from the source in the final residual network, which is the
+    inclusion-minimal minimum cut. ``network.cover`` is the double cover
+    the flow ran on, so a flow carries its cover wherever it goes.
     """
 
     value: Fraction
-    scale: int
     arc_flows: tuple[int, ...]
     cut_source_side: int
     network: FlowNetwork = field(repr=False, compare=False)
-
-    @cached_property
-    def flows(self) -> dict[tuple[int, int], Fraction]:
-        return {
-            (u, v): Fraction(f, self.scale)
-            for (u, v, _), f in zip(self.network.arcs, self.arc_flows)
-        }
 
 
 def build_double_cover(g: WeightedGraph) -> WeightedGraph:
@@ -119,13 +109,13 @@ def condition_network(cover: WeightedGraph) -> FlowNetwork:
             arcs.append((x, y, big))
     for y in range(n, cover.n):
         arcs.append((y, sink, weights[y]))
-    return FlowNetwork(cover.n, source, sink, tuple(arcs), cover.scale)
+    return FlowNetwork(cover, tuple(arcs))
 
 
 def max_flow(net: FlowNetwork) -> FlowResult:
     """Exact maximum flow via blocking flows on shortest layered networks.
 
-    Capacities are integers over ``net.scale``, so the search runs on
+    Capacities are integers over ``net.cover.scale``, so the search runs on
     integers, stays exact and returns its flows over the same scale. Arcs
     live in flat lists: arc 2i is arc i of ``net.arcs`` and arc 2i + 1 its
     reverse, so the reverse of arc a is a ^ 1, and each node lists its arc
@@ -143,7 +133,8 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     final residual network, and they form the cut.
     """
     arcs = net.arcs
-    node_count = net.graph_nodes + 2
+    source, sink = net.cover.n, net.cover.n + 1
+    node_count = sink + 1
     cap = [0] * (2 * len(arcs))
     cap[::2] = [c for _, _, c in arcs]
     head = [0] * (2 * len(arcs))
@@ -153,7 +144,6 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     for a, (u, v, _) in enumerate(arcs):
         out[u].append(2 * a)
         out[v].append(2 * a + 1)
-    source, sink = net.source, net.sink
 
     def bfs() -> tuple[list[int], list[int]]:
         # Levels from the source, and the nodes labeled in order.
@@ -230,26 +220,29 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     # nodes reachable from the source in the final residual network.
     cut = mask_from(reached[1:])
     # The reverse of arc i starts empty and holds exactly its flow.
-    return FlowResult(Fraction(total, net.scale), net.scale, tuple(cap[1::2]), cut, net)
+    return FlowResult(Fraction(total, net.cover.scale), tuple(cap[1::2]), cut, net)
 
 
 def _cover_edge_flows(result: FlowResult) -> Iterator[tuple[int, int, int]]:
     """(x, y, flow) for each cover edge x-y, in arc order.
 
-    The flow is an integer number of units of ``1 / result.scale``. The
+    The flow is an integer number of units of ``1 / cover.scale``. The
     cover edges are the middle run of ``condition_network``'s arcs, after
     one source arc and before one sink arc per cover vertex of a side.
     """
-    side = result.network.graph_nodes // 2
+    side = result.network.cover.n // 2
     middle = slice(side, len(result.arc_flows) - side)
     for (x, y, _), f in zip(result.network.arcs[middle], result.arc_flows[middle]):
         yield x, y, f
 
 
-def cover_flow(g: WeightedGraph) -> tuple[WeightedGraph, FlowResult]:
-    """The double cover of ``g`` and the maximum flow on its network."""
-    cover = build_double_cover(g)
-    return cover, max_flow(condition_network(cover))
+def cover_flow(g: WeightedGraph) -> FlowResult:
+    """The maximum flow on the condition network of ``g``'s double cover.
+
+    The one place that builds a cover, its network and its flow; the
+    cover is ``result.network.cover``.
+    """
+    return max_flow(condition_network(build_double_cover(g)))
 
 
 def violating_set_from_flow(g: WeightedGraph, result: FlowResult) -> Optional[int]:
@@ -268,11 +261,6 @@ def violating_set_from_flow(g: WeightedGraph, result: FlowResult) -> Optional[in
     if measure_of(g, q) <= measure_of(g, neighborhood(g, q)):
         raise AssertionError("cut projection failed to outweigh its neighborhood")
     return q
-
-
-def violating_set(g: WeightedGraph) -> Optional[int]:
-    """A set Q with mu(Q) > mu(N(Q)), or None when no such set exists."""
-    return violating_set_from_flow(g, cover_flow(g)[1])
 
 
 def independent_witness_from_set(g: WeightedGraph, q: int) -> int:
@@ -298,7 +286,7 @@ def independent_witness_from_set(g: WeightedGraph, q: int) -> int:
 
 def violating_independent_set(g: WeightedGraph) -> Optional[int]:
     """Certified independent I with mu(I) > mu(N(I)), or None if none exists."""
-    q = violating_set(g)
+    q = violating_set_from_flow(g, cover_flow(g))
     if q is None:
         return None
     return independent_witness_from_set(g, q)

@@ -128,13 +128,19 @@ class TensorPowerView:
     def size(self) -> int:
         return self.base.n**self.exponent
 
-    def encode(self, coords: Sequence[int]) -> int:
+    def _check(self, coords: Sequence[int]) -> None:
+        """Refuse a tuple of the wrong length or with a coordinate out of range."""
         if len(coords) != self.exponent:
             raise ValueError(f"expected {self.exponent} coordinates, got {len(coords)}")
+        m = self.base.n
+        for c in coords:
+            if not 0 <= c < m:
+                raise ValueError(f"coordinate {c} out of range")
+
+    def encode(self, coords: Sequence[int]) -> int:
+        self._check(coords)
         index = 0
         for c in coords:
-            if not 0 <= c < self.base.n:
-                raise ValueError(f"coordinate {c} out of range")
             index = index * self.base.n + c
         return index
 
@@ -151,11 +157,13 @@ class TensorPowerView:
 def power_adjacent(view: TensorPowerView, a: Sequence[int], b: Sequence[int]) -> bool:
     """True iff every coordinate pair is adjacent in the base graph.
 
-    Both tuples go through ``view.encode`` first, so one of the wrong
-    length or with a coordinate out of range raises its ``ValueError``.
+    Both tuples are checked first, with ``encode``'s checks and messages,
+    so one of the wrong length or with a coordinate out of range raises
+    its ``ValueError``. No index is built: the checks are linear in the
+    exponent, where the index of the m^n-vertex power would not be.
     """
-    view.encode(a)
-    view.encode(b)
+    view._check(a)
+    view._check(b)
     adj = view.base.adj
     return all(adj[x] >> y & 1 for x, y in zip(a, b))
 

@@ -231,13 +231,16 @@ def reference_max_flow(net) -> tuple[Fraction, dict[tuple[int, int], Fraction], 
     order, each breadth-first search levels the whole residual network,
     and each augmenting path is searched again from the source. ``flows``
     maps every arc ``(u, v)`` of ``net.arcs`` to its flow and ``cut`` is
-    the bitmask of nodes below ``net.graph_nodes`` that the source reaches
-    in the final residual network. The optimized search must return the
-    same value, the same flow on every arc and the same cut.
+    the bitmask of cover vertices (the nodes below ``net.cover.n``) that
+    the source reaches in the final residual network. The source is node
+    ``net.cover.n`` and the sink ``net.cover.n + 1``. The optimized search
+    must return the same value, the same flow on every arc and the same
+    cut.
     """
-    scale = net.scale
+    scale = net.cover.scale
     caps = [c for _, _, c in net.arcs]
-    node_count = net.graph_nodes + 2
+    source, sink = net.cover.n, net.cover.n + 1
+    node_count = sink + 1
     # Forward arc i and its reverse live at graph[u][..] entries [v, cap, rev].
     graph: list[list[list[int]]] = [[] for _ in range(node_count)]
     forward = []
@@ -247,7 +250,6 @@ def reference_max_flow(net) -> tuple[Fraction, dict[tuple[int, int], Fraction], 
         graph[u].append(edge)
         graph[v].append([u, 0, len(graph[u]) - 1])
 
-    source, sink = net.source, net.sink
     level = [0] * node_count
     pointer = [0] * node_count
 
@@ -308,5 +310,5 @@ def reference_max_flow(net) -> tuple[Fraction, dict[tuple[int, int], Fraction], 
     }
     # The last bfs() failed to reach the sink, so it leveled exactly the
     # vertices reachable from the source in the final residual network.
-    cut = mask_from(v for v in range(net.graph_nodes) if level[v] >= 0)
+    cut = mask_from(v for v in range(net.cover.n) if level[v] >= 0)
     return Fraction(total, scale), flows, cut

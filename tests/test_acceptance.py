@@ -89,7 +89,7 @@ def test_criterion_02_witness_soundness(corpus, condition_witnesses):
 
 def test_criterion_03_flow_ceiling(corpus, condition_witnesses):
     for g, witness in zip(corpus, condition_witnesses):
-        value = cover_flow(g)[1].value
+        value = cover_flow(g).value
         assert value <= HALF
         assert (value == HALF) == (witness is None)
     print(f"ACCEPTANCE 3 flow-ceiling: PASS ({len(corpus)} flows at or below 1/2)")

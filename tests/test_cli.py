@@ -23,7 +23,6 @@ from tensorindep import (
 )
 from tensorindep import cli
 from tensorindep.cli import (
-    DocumentError,
     load_graph,
     main,
     parse_graph_edgelist,
@@ -544,10 +543,12 @@ class TestParserFuzz:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(_DOCUMENT_TOKENS), max_size=40).map("".join))
     def test_parsers_return_a_graph_or_a_document_error(self, text):
+        # A DocumentError for the document's shape, the graph's own
+        # ValueError for its content: main maps both to exit 2.
         for parse in (parse_graph_json, parse_graph_edgelist):
             try:
                 graph = parse(text)
-            except DocumentError:
+            except ValueError:
                 continue
             assert isinstance(graph, WeightedGraph)
 
@@ -677,6 +678,10 @@ class TestOneCoverOneFlow:
             ["analyze", "c7_chord.json", "--max-power", "1"],
             ["analyze", "p3_path.json", "--max-power", "2"],
             ["descriptor", "k2_uniform.json"],
+            # No violating set: the descriptor and the verdict share the flow.
+            ["analyze", "c7_chord.json", "--max-power", "2"],
+            # A violating set, read off the same flow's cut.
+            ["analyze", "p3_path.json", "--max-power", "3"],
         ],
     )
     def test_one_cover_and_one_flow(self, counts, argv, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -26,6 +27,8 @@ from tensorindep import (
     violating_independent_set,
 )
 from tensorindep.cli import load_graph
+from tensorindep.descriptor import DescriptorReport, descriptor_from_flow
+from tensorindep.hallflow import cover_flow
 
 from conftest import measured_graphs
 
@@ -75,6 +78,15 @@ class TestBuildDescriptor:
 
     def test_deterministic(self, k3):
         assert build_descriptor(k3) == build_descriptor(k3)
+
+    def test_report_holds_the_map_and_the_flow_cover(self, c7_chord):
+        # The bound is the class's, the cover is the one the flow ran on.
+        assert [f.name for f in dataclasses.fields(DescriptorReport)] == ["hom", "cover"]
+        assert DescriptorReport.upper_bound == HALF
+        flow = cover_flow(c7_chord)
+        report = descriptor_from_flow(flow)
+        assert report.cover is flow.network.cover
+        assert report == build_descriptor(c7_chord)
 
     def test_mirror_pairs_name_cover_edges(self, k2, k3):
         # Base piece i and mirror piece i + k are the A and B ends of the

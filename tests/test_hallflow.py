@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -21,9 +22,15 @@ from tensorindep import (
     star_graph,
     tensor_product,
     violating_independent_set,
-    violating_set,
 )
-from tensorindep.hallflow import BIG, condition_network, max_flow
+from tensorindep.hallflow import (
+    BIG,
+    FlowNetwork,
+    FlowResult,
+    condition_network,
+    max_flow,
+    violating_set_from_flow,
+)
 
 from conftest import measured_graphs
 from oracles import brute_violating_any, brute_violating_independent, reference_max_flow
@@ -31,43 +38,59 @@ from oracles import brute_violating_any, brute_violating_independent, reference_
 HALF = Fraction(1, 2)
 
 
+def violating_set(g):
+    return violating_set_from_flow(g, cover_flow(g))
+
+
+def arc_flow_map(result):
+    """Each arc ``(u, v)`` of the result's network mapped to its flow as a Fraction."""
+    net = result.network
+    return {
+        (u, v): Fraction(f, net.cover.scale) for (u, v, _), f in zip(net.arcs, result.arc_flows)
+    }
+
+
 def flow_is_internally_consistent(net, result):
     """Conservation, capacity bounds, and the min-cut certificate.
 
-    Arc capacities are integers over ``net.scale``.
+    Arc capacities are integers over ``net.cover.scale``; the source is
+    node ``net.cover.n`` and the sink ``net.cover.n + 1``.
     """
+    scale = net.cover.scale
+    source, sink = net.cover.n, net.cover.n + 1
+    flows = arc_flow_map(result)
     inflow = {}
     outflow = {}
-    for (u, v), f in result.flows.items():
-        cap = next(Fraction(c, net.scale) for (a, b, c) in net.arcs if (a, b) == (u, v))
+    for (u, v), f in flows.items():
+        cap = next(Fraction(c, scale) for (a, b, c) in net.arcs if (a, b) == (u, v))
         assert 0 <= f <= cap
         outflow[u] = outflow.get(u, Fraction(0)) + f
         inflow[v] = inflow.get(v, Fraction(0)) + f
-    for node in range(net.graph_nodes):
+    for node in range(net.cover.n):
         assert inflow.get(node, 0) == outflow.get(node, 0), f"node {node} leaks"
-    assert outflow.get(net.source, 0) == result.value
-    assert inflow.get(net.sink, 0) == result.value
+    assert outflow.get(source, 0) == result.value
+    assert inflow.get(sink, 0) == result.value
     # Cut capacity equals the flow value (max-flow equals min-cut).
-    cut = set(iter_bits(result.cut_source_side)) | {net.source}
+    cut = set(iter_bits(result.cut_source_side)) | {source}
     capacity = sum(
-        Fraction(c, net.scale) for (u, v, c) in net.arcs if u in cut and v not in cut
+        Fraction(c, scale) for (u, v, c) in net.arcs if u in cut and v not in cut
     )
     assert capacity == result.value
     # The cut is the inclusion-minimal one: exactly the nodes the source
     # reaches through arcs with residual capacity, forward (cap - flow > 0)
     # or backward (flow > 0).
-    reached = {net.source}
-    frontier = [net.source]
+    reached = {source}
+    frontier = [source]
     while frontier:
         node = frontier.pop()
         for u, v, c in net.arcs:
-            f = result.flows[(u, v)]
-            for a, b, residual in ((u, v, Fraction(c, net.scale) - f), (v, u, f)):
+            f = flows[(u, v)]
+            for a, b, residual in ((u, v, Fraction(c, scale) - f), (v, u, f)):
                 if a == node and residual > 0 and b not in reached:
                     reached.add(b)
                     frontier.append(b)
-    assert net.sink not in reached
-    assert result.cut_source_side == mask_from(reached - {net.source})
+    assert sink not in reached
+    assert result.cut_source_side == mask_from(reached - {source})
     return True
 
 
@@ -124,8 +147,9 @@ class TestMaxFlow:
         net = condition_network(build_double_cover(k2))
         result = max_flow(net)
         assert result.value == HALF
-        assert result.flows[(0, 3)] == Fraction(1, 4)
-        assert result.flows[(1, 2)] == Fraction(1, 4)
+        flows = arc_flow_map(result)
+        assert flows[(0, 3)] == Fraction(1, 4)
+        assert flows[(1, 2)] == Fraction(1, 4)
         assert flow_is_internally_consistent(net, result)
 
     def test_p3_deficit(self, p3):
@@ -136,7 +160,7 @@ class TestMaxFlow:
 
     def test_edgeless_zero(self):
         g = WeightedGraph([Fraction(1, 2), Fraction(1, 2)], [])
-        assert cover_flow(g)[1].value == 0
+        assert cover_flow(g).value == 0
 
     def test_long_cycle_at_the_default_recursion_limit(self):
         # Augmenting paths on the cover of a long odd cycle run thousands
@@ -144,13 +168,28 @@ class TestMaxFlow:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            value = cover_flow(cycle_graph(2001))[1].value
+            value = cover_flow(cycle_graph(2001)).value
         finally:
             sys.setrecursionlimit(limit)
         assert value == HALF
 
     def test_big_capacity_is_two(self):
         assert BIG == 2
+
+    def test_cover_flow_carries_its_cover(self, p3):
+        # The network keeps only the cover and the arcs; the source, the
+        # sink and the scale are the cover's.
+        assert [f.name for f in dataclasses.fields(FlowNetwork)] == ["cover", "arcs"]
+        assert [f.name for f in dataclasses.fields(FlowResult)] == [
+            "value",
+            "arc_flows",
+            "cut_source_side",
+            "network",
+        ]
+        result = cover_flow(p3)
+        assert isinstance(result, FlowResult)
+        assert result.network.cover == build_double_cover(p3)
+        assert result.network == condition_network(result.network.cover)
 
     @settings(max_examples=60)
     @given(measured_graphs())
@@ -165,7 +204,7 @@ class TestMaxFlow:
         first = max_flow(net)
         second = max_flow(net)
         assert first.value == second.value
-        assert first.flows == second.flows
+        assert first.arc_flows == second.arc_flows
         assert first.cut_source_side == second.cut_source_side
 
 
@@ -221,8 +260,8 @@ class TestMatchesReference:
         value, flows, cut = reference_max_flow(net)
         assert result.value == value
         assert result.cut_source_side == cut
-        assert result.flows == flows
-        assert [Fraction(f, result.scale) for f in result.arc_flows] == [
+        assert arc_flow_map(result) == flows
+        assert [Fraction(f, net.cover.scale) for f in result.arc_flows] == [
             flows[(u, v)] for u, v, _ in net.arcs
         ]
         return result
@@ -302,7 +341,7 @@ class TestViolatingIndependentSet:
         # Flow test, arbitrary-set existence, independent-set existence:
         # all three decide the same condition.
         witness = violating_independent_set(g)
-        value = cover_flow(g)[1].value
+        value = cover_flow(g).value
         brute_any = brute_violating_any(g)
         brute_ind = brute_violating_independent(g)
         assert (witness is None) == (value == HALF)

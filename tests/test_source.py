@@ -372,6 +372,46 @@ def test_arc_reads_are_found():
     assert arc_reads(tree, "mod") == [(2, "mod.tiles"), (2, "mod.tiles"), (5, "mod.View.size")]
 
 
+FLOW_BUILDERS = ("build_double_cover", "condition_network", "max_flow")
+
+
+def flow_builds(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each call of a name in ``FLOW_BUILDERS`` in ``tree``."""
+    return sorted(
+        (call.lineno, name)
+        for call, name in qualified_nodes(tree, module)
+        if any(_names(call.func, builder) for builder in FLOW_BUILDERS)
+    )
+
+
+def test_covers_and_flows_are_built_only_in_cover_flow():
+    # One cover and one flow per analysis: every module takes them from
+    # hallflow.cover_flow, whose result carries its cover. An import of
+    # max_flow is not a call.
+    assert package_findings(flow_builds) == {"hallflow.cover_flow"}
+
+
+def test_flow_builds_are_found():
+    tree = ast.parse(
+        "from tensorindep.hallflow import max_flow\n"
+        "from tensorindep import hallflow\n"
+        "def descriptor(g):\n"
+        "    cover = hallflow.build_double_cover(g)\n"
+        "    return max_flow(hallflow.condition_network(cover))\n"
+        "class Report:\n"
+        "    def flow(self, net):\n"
+        "        return self.max_flow(net)\n"
+        "def other(g, max_flow):\n"
+        "    return cover_flow(g), max_flow, g.condition_network\n"
+    )
+    assert flow_builds(tree, "mod") == [
+        (4, "mod.descriptor"),
+        (5, "mod.descriptor"),
+        (5, "mod.descriptor"),
+        (8, "mod.Report.flow"),
+    ]
+
+
 def power_comparisons(tree: ast.Module, module: str) -> list[tuple[int, str]]:
     """(line, qualified name) of each comparison with a ``**`` expression as an operand."""
     return sorted(

@@ -252,6 +252,18 @@ class TestPowerView:
         with pytest.raises(ValueError, match=message):
             power_adjacent(TensorPowerView(c5, 2), a, b)
 
+    def test_power_adjacent_is_linear_in_the_exponent(self, k3):
+        # The checks build no index: 3**100000 would be a 158,497-bit int
+        # built one multiplication at a time.
+        view = TensorPowerView(k3, 100_000)
+        a, b = (0,) * view.exponent, (1,) * view.exponent
+        start = time.perf_counter()
+        assert power_adjacent(view, a, b)
+        assert time.perf_counter() - start < 0.1
+        assert not power_adjacent(view, a, a)
+        with pytest.raises(ValueError, match="coordinate 3 out of range"):
+            power_adjacent(view, a, b[:-1] + (3,))
+
     @given(measured_graphs(max_vertices=4), st.data())
     def test_oracle_matches_materialized(self, g, data):
         n = data.draw(st.integers(2, 3))
