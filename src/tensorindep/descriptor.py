@@ -70,11 +70,12 @@ def descriptor_from_flow(result: FlowResult) -> DescriptorReport:
     The map targets the cover the flow ran on, ``result.network.cover``.
     Requires the flow to saturate at exactly 1/2 (no violating set);
     otherwise no such map exists and SaturationRequired is raised. The
-    cover edges and their flows come from ``hallflow._cover_edge_flows``,
-    in the network's arc order, which fixes the order of the tiles.
-    Zero-flow edges contribute no piece. Pieces are listed by left
-    endpoint, base tiles first, mirrors after, so with k tiles, pieces i
-    and i + k target the two ends of the cover edge whose flow made them.
+    cover edges that carry flow, and their flows, come from
+    ``hallflow._cover_edge_flows`` in the network's arc order, which fixes
+    the order of the tiles; an edge with no flow is not handed out and
+    makes no piece. Pieces are listed by left endpoint, base tiles first,
+    mirrors after, so with k tiles, pieces i and i + k target the two ends
+    of the cover edge whose flow made them.
     """
     if result.value != HALF:
         raise SaturationRequired(
@@ -89,8 +90,6 @@ def descriptor_from_flow(result: FlowResult) -> DescriptorReport:
     position = 0
     lo, mirror_lo = Fraction(0), HALF
     for x, y, f in _cover_edge_flows(result):
-        if f == 0:
-            continue
         position += f
         # Each boundary is built once: a tile's hi is the next tile's lo.
         hi = Fraction(position, scale)
@@ -125,10 +124,11 @@ def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
     half = numerators.pop()
     ends = list(zip(numerators[::2], numerators[1::2]))
 
+    n = cover.n
     for p, (lo, hi) in zip(hom.pieces, ends):
         if not (0 <= lo < hi <= den):
             return f"piece [{p.lo},{p.hi}) is not a half-open subinterval of [0,1)"
-        if not 0 <= p.target < cover.n:
+        if not 0 <= p.target < n:
             return f"piece target {p.target} is not a cover vertex"
 
     ordered = sorted(zip(ends, hom.pieces), key=lambda e: e[0][0])
@@ -142,7 +142,7 @@ def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
     if cursor != den:
         return f"coverage stops at {Fraction(cursor, den)} instead of 1"
 
-    fiber = [0] * cover.n
+    fiber = [0] * n
     for p, (lo, hi) in zip(hom.pieces, ends):
         fiber[p.target] += hi - lo
     for z, w in enumerate(cover.weights):

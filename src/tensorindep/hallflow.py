@@ -92,7 +92,7 @@ def condition_network(cover: WeightedGraph) -> FlowNetwork:
     vertex order and y increasing; each B-side vertex y to the sink with
     capacity mu'(y), in vertex order. ``max_flow`` takes its augmenting
     paths, and so its flow and cut, from this order, and
-    ``_cover_edge_flows`` hands out the middle run's flows in it.
+    ``_cover_edge_flows`` hands out the middle run's nonzero flows in it.
     Capacities are integers over ``cover.scale``: the cover's weights, and
     ``BIG`` times the scale.
     """
@@ -131,6 +131,22 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     with a full search. The last search fails to reach the sink and so
     runs in full: the nodes it labels are exactly those reachable in the
     final residual network, and they form the cut.
+
+    Two shortcuts keep those paths and amounts too. When the sink sits at
+    level 3, every path is source, a, b, sink, and the depth-first search
+    is three nested scans: the source's arcs in order, a's arcs from a's
+    pointer, and b's arcs from b's pointer for an arc into the sink. A
+    level-3 node other than the sink has no level-4 neighbor, so an arc
+    into it only leads the full search to a dead end and a pointer step.
+    The scans push along the same paths, resume after the same first
+    saturated arc, and drop a or b when its scan runs out, as the full
+    search does. On a deeper level graph, one backward pass from the sink
+    over residual arcs first keeps the nodes that reach the sink in the
+    level graph, and every other node leaves it. The search would only
+    have entered such a node to meet a dead end, retreat and move the
+    parent's pointer past it. A push never opens an arc of the level
+    graph, so within a phase no node comes to reach the sink that did not
+    reach it when the phase began.
     """
     arcs = net.arcs
     source, sink = net.cover.n, net.cover.n + 1
@@ -161,6 +177,69 @@ def max_flow(net: FlowNetwork) -> FlowResult:
                             return level, reached
                         reached.append(v)
         return level, reached
+
+    def sink_reaching(level: list[int]) -> list[int]:
+        # The levels of the nodes that reach the sink in the level graph,
+        # and -1 for every other node: a backward pass from the sink that
+        # keeps u for a kept v when the residual arc u -> v climbs a level.
+        kept = [-1] * node_count
+        kept[sink] = level[sink]
+        frontier = [sink]
+        for v in frontier:
+            below = kept[v] - 1
+            for a in out[v]:
+                u = head[a]
+                if level[u] == below and kept[u] < 0 and cap[a ^ 1]:
+                    kept[u] = below
+                    frontier.append(u)
+        return kept
+
+    def three_level_flow(level: list[int]) -> int:
+        # The blocking flow when the sink is at level 3, as nested scans.
+        # A push resumes at the tail of the first arc it saturated: the
+        # source, a or b, whose scan goes on past that arc.
+        pointer = [0] * node_count
+        pushed_total = 0
+        for sa in out[source]:
+            room = cap[sa]
+            a = head[sa]
+            if not room or level[a] != 1:
+                continue
+            arcs_a = out[a]
+            end_a = len(arcs_a)
+            p = pointer[a]
+            while p < end_a:
+                ab = arcs_a[p]
+                b = head[ab]
+                if cap[ab] and level[b] == 2:
+                    arcs_b = out[b]
+                    end_b = len(arcs_b)
+                    q = pointer[b]
+                    while q < end_b:
+                        bt = arcs_b[q]
+                        if head[bt] == sink and cap[bt]:
+                            pushed = min(room, cap[ab], cap[bt])
+                            room -= pushed
+                            cap[sa] = room
+                            cap[sa ^ 1] += pushed
+                            cap[ab] -= pushed
+                            cap[ab ^ 1] += pushed
+                            cap[bt] -= pushed
+                            cap[bt ^ 1] += pushed
+                            pushed_total += pushed
+                            if not room or not cap[ab]:
+                                break
+                        q += 1
+                    pointer[b] = q
+                    if q == end_b:
+                        level[b] = -1
+                    elif not room:
+                        break
+                p += 1
+            pointer[a] = p
+            if p == end_a:
+                level[a] = -1
+        return pushed_total
 
     def blocking_flow(level: list[int]) -> int:
         # Depth-first search for source-sink paths in the level graph,
@@ -212,9 +291,13 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     total = 0
     while True:
         level, reached = bfs()
-        if level[sink] < 0:
+        depth = level[sink]
+        if depth < 0:
             break
-        total += blocking_flow(level)
+        if depth == 3:
+            total += three_level_flow(level)
+        else:
+            total += blocking_flow(sink_reaching(level))
 
     # The last bfs() failed to reach the sink, so it labeled exactly the
     # nodes reachable from the source in the final residual network.
@@ -224,16 +307,18 @@ def max_flow(net: FlowNetwork) -> FlowResult:
 
 
 def _cover_edge_flows(result: FlowResult) -> Iterator[tuple[int, int, int]]:
-    """(x, y, flow) for each cover edge x-y, in arc order.
+    """(x, y, flow) for each cover edge x-y that carries flow, in arc order.
 
-    The flow is an integer number of units of ``1 / cover.scale``. The
-    cover edges are the middle run of ``condition_network``'s arcs, after
-    one source arc and before one sink arc per cover vertex of a side.
+    The flow is a positive integer number of units of ``1 / cover.scale``;
+    edges with no flow are skipped. The cover edges are the middle run of
+    ``condition_network``'s arcs, after one source arc and before one
+    sink arc per cover vertex of a side.
     """
     side = result.network.cover.n // 2
     middle = slice(side, len(result.arc_flows) - side)
     for (x, y, _), f in zip(result.network.arcs[middle], result.arc_flows[middle]):
-        yield x, y, f
+        if f:
+            yield x, y, f
 
 
 def cover_flow(g: WeightedGraph) -> FlowResult:

@@ -235,7 +235,12 @@ def reference_max_flow(net) -> tuple[Fraction, dict[tuple[int, int], Fraction], 
     the source reaches in the final residual network. The source is node
     ``net.cover.n`` and the sink ``net.cover.n + 1``. The optimized search
     must return the same value, the same flow on every arc and the same
-    cut.
+    cut. The equality checks each shortcut ``max_flow`` takes over this
+    layout: its breadth-first search stops at the sink; a phase with the
+    sink at level 3 runs as three nested scans; a deeper phase drops the
+    nodes that cannot reach the sink before its path search; and after a
+    push the path search resumes at the first saturated arc, not at the
+    source.
     """
     scale = net.cover.scale
     caps = [c for _, _, c in net.arcs]

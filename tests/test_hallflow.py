@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorindep import (
     WeightedGraph,
     build_double_cover,
+    complete_graph,
     cover_flow,
     cycle_graph,
     independent_witness_from_set,
@@ -249,13 +251,81 @@ def cubic_bipartite_graph(rng: random.Random, n: int) -> WeightedGraph:
     return WeightedGraph([Fraction(1, n)] * n, sorted(edges))
 
 
+def cycle_union_graph(rng: random.Random, n: int) -> WeightedGraph:
+    """Uniform 4-regular graph: the union of two edge-disjoint random
+    Hamiltonian cycles."""
+    edges: set[tuple[int, int]] = set()
+    for _ in range(2):
+        while True:
+            order = rng.sample(range(n), n)
+            cycle = {tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)}
+            if not cycle & edges:
+                edges |= cycle
+                break
+    return WeightedGraph([Fraction(1, n)] * n, sorted(edges))
+
+
+@st.composite
+def sparse_measured_graphs(draw, max_vertices: int = 40):
+    """Graphs on up to ``max_vertices`` vertices with n to 2n edges drawn
+    (fewer after repeats), and integer weights 0-9, some of them zero."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    steps = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1))),
+            min_size=n if n > 1 else 0,
+            max_size=2 * n if n > 1 else 0,
+        )
+    )
+    edges = sorted({(min(u, (u + d) % n), max(u, (u + d) % n)) for u, d in steps})
+    weights = draw(
+        st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+    )
+    total = sum(weights)
+    return WeightedGraph([Fraction(w, total) for w in weights], edges)
+
+
+@st.composite
+def flow_networks(draw, max_inner: int = 8):
+    """Networks on up to ``max_inner`` inner nodes, the source and the sink.
+
+    Each inner node is drawn to a side: the source feeds side 0, side 1
+    feeds the sink, and arcs between inner nodes are arbitrary, so a phase
+    with the sink at level 3 is common and deeper ones follow. A few arcs
+    run into the source or out of the sink. The arcs are distinct, in a
+    drawn order, with capacities 0, 1, 2, 3 or 5.
+    """
+    k = draw(st.integers(min_value=1, max_value=max_inner))
+    source, sink = k, k + 1
+    sides = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=k, max_size=k))
+    inner = st.integers(0, k - 1)
+    ends = [(source, v) for v in range(k) if sides[v] == 0]
+    ends += [(u, sink) for u in range(k) if sides[u] == 1]
+    ends += draw(st.lists(st.tuples(inner, inner), min_size=k, max_size=3 * k))
+    anywhere = st.integers(0, k + 1)
+    ends += draw(
+        st.lists(
+            st.tuples(anywhere, st.just(source)) | st.tuples(st.just(sink), anywhere),
+            max_size=3,
+        )
+    )
+    ends = draw(st.permutations(list(dict.fromkeys(ends))))
+    capacity = st.sampled_from((1, 2, 3, 5, 0))
+    caps = draw(st.lists(capacity, min_size=len(ends), max_size=len(ends)))
+    cover = WeightedGraph([Fraction(1, k)] * k, [])
+    return FlowNetwork(cover, tuple((u, v, c) for (u, v), c in zip(ends, caps)))
+
+
 class TestMatchesReference:
     """The flat-array search pushes along the same paths as the edge-list
     Dinic in ``oracles.reference_max_flow``: same value, cut and arc flows."""
 
+    @classmethod
+    def check(cls, g: WeightedGraph):
+        return cls.check_network(condition_network(build_double_cover(g)))
+
     @staticmethod
-    def check(g: WeightedGraph):
-        net = condition_network(build_double_cover(g))
+    def check_network(net: FlowNetwork):
         result = max_flow(net)
         value, flows, cut = reference_max_flow(net)
         assert result.value == value
@@ -278,6 +348,56 @@ class TestMatchesReference:
     def test_cubic_bipartite_500_vertices(self):
         g = cubic_bipartite_graph(random.Random(500), 500)
         assert self.check(g).value == HALF
+
+    def test_zero_measure_vertices_on_600_vertices(self):
+        # Vertices of measure 0 give source and sink arcs of capacity 0,
+        # which the three-level first phase must pass over.
+        rng = random.Random(600)
+        n = 600
+        edges: set[tuple[int, int]] = set()
+        while len(edges) < 3 * n // 2:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        assert weights.count(0) > n // 10
+        total = sum(weights)
+        self.check(WeightedGraph([Fraction(w, total) for w in weights], sorted(edges)))
+
+    @pytest.mark.parametrize("g", [complete_graph(2), cycle_graph(200)], ids=["k2", "c200"])
+    def test_uniform_flow_ending_in_the_first_phase(self, g):
+        assert self.check(g).value == HALF
+
+    def test_planted_800_vertices(self):
+        # Later phases run deep here: the last one reaching the sink finds
+        # it at level 43.
+        g = planted_graph(random.Random(800), 800)
+        assert self.check(g).value < HALF
+
+    def test_cycle_union_1000_vertices(self):
+        g = cycle_union_graph(random.Random(1000), 1000)
+        assert self.check(g).value == HALF
+
+    @settings(max_examples=100)
+    @given(sparse_measured_graphs())
+    def test_sparse_measured_graphs_up_to_40_vertices(self, g):
+        self.check(g)
+
+    @settings(max_examples=300)
+    @given(flow_networks())
+    def test_arbitrary_networks(self, net):
+        # Neither shortcut depends on the cover's shape: a three-level
+        # phase may meet arcs into the source, level-3 nodes besides the
+        # sink, or a middle arc that saturates first.
+        self.check_network(net)
+
+    def test_middle_arc_saturating_first_keeps_its_head_in_the_phase(self):
+        # Source 4, sink 5. The path 4, 0, 2, 5 saturates 0 -> 2 first; the
+        # search goes back to 0, and node 2 stays in the level graph with
+        # room into the sink, so the path 4, 1, 2, 5 comes before 4, 1, 3, 5.
+        cover = WeightedGraph([Fraction(1, 4)] * 4, [])
+        arcs = ((4, 0, 5), (4, 1, 5), (0, 2, 1), (1, 2, 5), (1, 3, 5), (2, 5, 5), (3, 5, 5))
+        result = self.check_network(FlowNetwork(cover, arcs))
+        assert result.arc_flows == (1, 5, 1, 4, 1, 5, 1)
 
 
 class TestViolatingSet:

@@ -412,6 +412,60 @@ def test_flow_builds_are_found():
     ]
 
 
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+FLOW_SOLVERS = ("max_flow", "cover_flow", "blocking_flow")
+
+
+def flow_solver_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each import or read of a name in ``FLOW_SOLVERS`` in ``tree``.
+
+    A read is the bare name, called or not, or an attribute by that name,
+    such as ``hallflow.max_flow``. A definition or a parameter of that
+    name is not a read.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in FLOW_SOLVERS]
+    return sorted(found)
+
+
+def test_the_flow_oracle_runs_no_package_flow():
+    # TestMatchesReference holds max_flow to oracles.reference_max_flow;
+    # an oracle that ran the package's own flow would check it against
+    # itself.
+    assert flow_solver_uses(ast.parse(ORACLES.read_text(), str(ORACLES))) == []
+
+
+def test_flow_solver_uses_are_found():
+    tree = ast.parse(
+        "from tensorindep.hallflow import max_flow\n"
+        "from tensorindep import cover_flow as flow, mask_from\n"
+        "import tensorindep.hallflow as hf\n"
+        "def reference(net):\n"
+        "    return hf.blocking_flow(net), flow(net)\n"
+        "def solve(net):\n"
+        "    solver = max_flow\n"
+        "    return solver(net), 'max_flow'\n"
+        "def max_flow_reference(net, cover_flow=None):\n"
+        "    return mask_from([])\n"
+    )
+    assert flow_solver_uses(tree) == [
+        (1, "max_flow"),
+        (2, "cover_flow"),
+        (5, "blocking_flow"),
+        (7, "max_flow"),
+    ]
+
+
 def power_comparisons(tree: ast.Module, module: str) -> list[tuple[int, str]]:
     """(line, qualified name) of each comparison with a ``**`` expression as an operand."""
     return sorted(
