@@ -51,7 +51,7 @@ print("=" * 64)
 
 p3 = WeightedGraph([Fraction(1, 3)] * 3, [(0, 1), (1, 2)], ["u", "v", "w"])
 describe("P3 uniform (ends outweigh middle: limit 1)", p3, 3)
-describe("K2 uniform (bipartite, balanced: limit 1/2)", cycle_graph(4), 2)
+describe("C4 uniform (bipartite, balanced: limit 1/2)", cycle_graph(4), 2)
 describe("K2 biased 2/3 vs 1/3 (tilted matching: limit 1)",
          WeightedGraph([Fraction(2, 3), Fraction(1, 3)], [(0, 1)], ["u", "v"]), 3)
 describe("K3 uniform (vertex transitive: limit 1/3)", complete_graph(3), 3)

@@ -8,10 +8,10 @@ descriptor:
 2. otherwise a descriptor exists, so the limit is at most 1/2, and
    a. any power whose independence measure reaches 1/2 settles it there;
       when power 1 does, the later terms are 1/2 without a search,
-   b. a bipartition settles it there as well, but fires only for graphs
-      with more than ``MWIS_CAP`` vertices, whose power 1 is over the
-      search cap: each side X has mu(X) <= mu(N(X)) <= mu(Y) and vice
-      versa, so the independent side X weighs 1/2 and rule a fires first,
+   b. a bipartition settles it there as well; it is sought only when no
+      power was searched (more than ``MWIS_CAP`` vertices), since each side
+      X has mu(X) <= mu(N(X)) <= mu(Y) and vice versa, so both sides weigh
+      1/2, alpha(G) = 1/2 for any measure and rule a has already fired,
    c. a vertex-transitive uniform graph has a constant sequence, so the
       limit equals the base value,
    d. failing all that, the limit is bracketed between the largest
@@ -146,7 +146,7 @@ def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
             VerdictKind.EXACT_HALF, "alpha-reaches-half+descriptor", value=HALF
         )
 
-    sides = bipartition(g)
+    sides = None if seq.terms else bipartition(g)
     if sides is not None:
         return bounded_by_half(
             VerdictKind.EXACT_HALF, "bipartite+descriptor", value=HALF, bipartition=sides

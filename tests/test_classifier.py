@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import time
@@ -40,6 +41,7 @@ from oracles import (
     brute_alpha,
     brute_majority_set,
     brute_violating_any,
+    random_measured_graph,
 )
 
 HALF = Fraction(1, 2)
@@ -90,17 +92,32 @@ class TestClassify:
         assert verdict.certificate.alpha_truncated
         assert verdict.certificate.alpha_terms == ()
 
-    def test_bipartite_without_violating_set_reaches_half_at_power_one(self):
+    def test_bipartite_without_violating_set_reaches_half_at_power_one(self, rng):
         # Each side X has mu(X) <= mu(N(X)) <= mu(Y) and vice versa, so both
-        # sides weigh 1/2 and alpha(G) = 1/2: the bipartite rule can only
-        # fire when power 1 is over the search cap.
-        checked = 0
-        for g in all_uniform_graphs(5):
+        # sides weigh 1/2 and alpha(G) = 1/2 for any measure: the bipartite
+        # rule can only fire when power 1 is over the search cap.
+        measured = (random_measured_graph(rng, 6, max_weight=2) for _ in range(2000))
+        checked = Counter()
+        for g in itertools.chain(all_uniform_graphs(5), measured):
             if bipartition(g) is None or brute_violating_any(g) is not None:
                 continue
+            assert brute_alpha(g)[0] == HALF
             assert classify(g, 1).rule == "alpha-reaches-half+descriptor"
-            checked += 1
-        assert checked > 0
+            checked[len(set(g.weights)) > 1] += 1
+        assert checked[False] > 0 and checked[True] > 0
+
+    def test_bipartition_is_sought_only_when_no_power_was_searched(self, monkeypatch):
+        calls = []
+        walk = classifier.bipartition
+        monkeypatch.setattr(
+            classifier, "bipartition", lambda g: calls.append(g.n) or walk(g)
+        )
+        for g in all_uniform_graphs(5):
+            classify(g, 2)
+        assert calls == []
+        verdict = classify(cycle_graph(MWIS_CAP + 2), 1)
+        assert verdict.rule == "bipartite+descriptor"
+        assert calls == [MWIS_CAP + 2]
 
     def test_certificate_carries_the_descriptor(self, k2, k3, c7_chord, p3):
         for g in (k2, k3, c7_chord):
@@ -133,7 +150,7 @@ class TestClassify:
     @pytest.mark.parametrize(
         "name, n_max, terms",
         [
-            ("c7_chord", 2, (Fraction(3, 7),) * 2),  # power 2 searched
+            ("c7_chord", 2, (Fraction(3, 7),) * 2),  # odd 7-cycle cover, power 2 filled
             ("c5", 3, (Fraction(2, 5),) * 3),  # odd cycle cover, no power built
             ("k2", 3, (HALF,) * 3),  # 1/2 at power 1, the rest filled
         ],
@@ -158,7 +175,7 @@ class TestClassify:
         )
         verdict = classify(g, n_max)
         assert verdict.certificate.alpha_terms == terms
-        assert searched.count(g.n) == 1
+        assert searched == [g.n]
         assert len(sequences) == 1
 
     def test_default_power_cap(self):
