@@ -30,6 +30,7 @@ base graph, so no row of the power is built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -52,7 +53,7 @@ from .hallflow import (
     independent_witness_from_set,
     violating_set_from_flow,
 )
-from .mwis import AlphaSequence, alpha_sequence, default_power_cap
+from .mwis import AlphaSequence, alpha_sequence
 from .tensor import _power_reach, _power_weight, _refuse_oversized
 
 
@@ -96,17 +97,17 @@ class BoundSequence:
     closed_form_limit: Fraction
 
 
-def classify(g: WeightedGraph, n_max: Optional[int] = None) -> LimitVerdict:
+def classify(g: WeightedGraph, n_max: int) -> LimitVerdict:
     """Run the decision cascade and return a certified verdict.
 
-    ``n_max`` is the highest power searched and must be at least 1; None
-    takes ``default_power_cap(g.n)``. Size-cap signals never abort the
-    classification; whatever was computed stays in the certificate and
-    the cascade falls through to the next applicable rule.
+    ``n_max``, the highest power searched, is a positive int (2.5 raises
+    ``TypeError``) that the caller chooses; ``analyze`` passes
+    ``mwis.default_power_cap(g.n)`` by default. Size-cap signals never
+    abort the classification; whatever was computed stays in the
+    certificate and the cascade falls through to the next applicable rule.
     """
-    if n_max is None:
-        n_max = default_power_cap(g.n)
-    elif n_max < 1:
+    n_max = operator.index(n_max)
+    if n_max < 1:
         raise ValueError("n_max must be positive")
     flow = cover_flow(g)
     q = violating_set_from_flow(g, flow)

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 invalid input, 3 size cap hit: a requested power
 has more than ``MWIS_CAP`` vertices (``analyze`` still emits the partial
 report), 4 precondition unmet (descriptor requested for a graph with a
-violating set), 5 verification failed.
+violating set), 5 verification failed. Every refusal of input, by the
+parsers here or by the library, is a plain ``ValueError``.
 
 Graphs are read from a JSON document
 
@@ -39,35 +40,31 @@ EXIT_PRECONDITION = 4
 EXIT_VERIFICATION = 5
 
 
-class DocumentError(ValueError):
-    """The input file failed to parse or validate."""
-
-
 def parse_graph_json(text: str) -> WeightedGraph:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
-        raise DocumentError(f"invalid JSON: {exc}") from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise DocumentError("top-level JSON value must be an object")
+        raise ValueError("top-level JSON value must be an object")
     vertices = data.get("vertices")
     edges = data.get("edges", [])
     if not isinstance(vertices, list) or not vertices:
-        raise DocumentError('document needs a nonempty "vertices" array')
+        raise ValueError('document needs a nonempty "vertices" array')
     ids: list[str] = []
     measures: list[str] = []
     for entry in vertices:
         if not isinstance(entry, dict) or "id" not in entry or "measure" not in entry:
-            raise DocumentError(f"vertex entry {reprlib.repr(entry)} needs id and measure")
+            raise ValueError(f"vertex entry {reprlib.repr(entry)} needs id and measure")
         ids.append(str(entry["id"]))
         # As text, so a JSON 0.1 means 1/10 and WeightedGraph reads it.
         measures.append(str(entry["measure"]))
     if not isinstance(edges, list):
-        raise DocumentError('"edges" must be an array of id pairs')
+        raise ValueError('"edges" must be an array of id pairs')
     raw_edges = []
     for pair in edges:
         if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(f"edge entry {reprlib.repr(pair)} must be an [id, id] pair")
+            raise ValueError(f"edge entry {reprlib.repr(pair)} must be an [id, id] pair")
         raw_edges.append((str(pair[0]), str(pair[1])))
     return _assemble(ids, measures, raw_edges)
 
@@ -87,9 +84,9 @@ def parse_graph_edgelist(text: str) -> WeightedGraph:
         elif fields[0] == "e" and len(fields) == 3:
             raw_edges.append((fields[1], fields[2]))
         else:
-            raise DocumentError(f"line {lineno}: expected 'v <id> <p/q>' or 'e <id> <id>'")
+            raise ValueError(f"line {lineno}: expected 'v <id> <p/q>' or 'e <id> <id>'")
     if not ids:
-        raise DocumentError("no vertices declared")
+        raise ValueError("no vertices declared")
     return _assemble(ids, measures, raw_edges)
 
 
@@ -99,12 +96,12 @@ def _assemble(
     index: dict[str, int] = {}
     for vid in ids:
         if vid in index:
-            raise DocumentError(f"duplicate vertex id {reprlib.repr(vid)}")
+            raise ValueError(f"duplicate vertex id {reprlib.repr(vid)}")
         index[vid] = len(index)
     edges = []
     for a, b in raw_edges:
         if a not in index or b not in index:
-            raise DocumentError(
+            raise ValueError(
                 f"edge [{reprlib.repr(a)}, {reprlib.repr(b)}] references an undeclared vertex"
             )
         edges.append((index[a], index[b]))
@@ -116,7 +113,7 @@ def load_graph(path: str) -> WeightedGraph:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_graph_edgelist(text)
@@ -244,9 +241,7 @@ def _parse_seed_set(g: WeightedGraph, ids: str) -> int:
     for token in ids.split(","):
         token = token.strip()
         if token not in index:
-            raise DocumentError(
-                f"unknown vertex id {reprlib.repr(token)} in --seed-independent-set"
-            )
+            raise ValueError(f"unknown vertex id {reprlib.repr(token)} in --seed-independent-set")
         chosen.append(index[token])
     return mask_from(chosen)
 
@@ -255,7 +250,7 @@ def cmd_analyze(args) -> int:
     g = load_graph(args.path)
     n_max = default_power_cap(g.n) if args.max_power is None else args.max_power
     if n_max < 1:
-        raise DocumentError("--max-power must be positive")
+        raise ValueError("--max-power must be positive")
     seed_set = None
     if args.seed_independent_set:
         seed_set = _parse_seed_set(g, args.seed_independent_set)
@@ -272,7 +267,7 @@ def cmd_analyze(args) -> int:
 def cmd_alpha(args) -> int:
     g = load_graph(args.path)
     if args.power < 1:
-        raise DocumentError("--power must be positive")
+        raise ValueError("--power must be positive")
     if _largest_power(g.n, args.power, MWIS_CAP) < args.power:
         raise SizeCapExceeded(
             f"search too large: {g.n}**{args.power} vertices exceeds cap {MWIS_CAP}"
@@ -293,7 +288,7 @@ def cmd_descriptor(args) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
         except OSError as exc:
-            raise DocumentError(f"cannot write {args.out}: {exc}") from exc
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(payload)
     return EXIT_OK
@@ -307,23 +302,23 @@ def cmd_verify_hom(args) -> int:
             raw = json.load(handle)
     # ValueError: bad JSON or bad UTF-8; RecursionError: deep nesting
     except (OSError, ValueError, RecursionError) as exc:
-        raise DocumentError(f"cannot read map file: {exc}") from exc
+        raise ValueError(f"cannot read map file: {exc}") from exc
     if not isinstance(raw, dict):
-        raise DocumentError("map file must be a JSON object of id -> id")
+        raise ValueError("map file must be a JSON object of id -> id")
     g_index = {vid: v for v, vid in enumerate(g.labels)}
     mapping = []
     for vid in h.labels:
         if vid not in raw:
-            raise DocumentError(f"map is missing vertex {reprlib.repr(vid)}")
+            raise ValueError(f"map is missing vertex {reprlib.repr(vid)}")
         target = str(raw[vid])
         if target not in g_index:
-            raise DocumentError(
+            raise ValueError(
                 f"map sends {reprlib.repr(vid)} to unknown vertex {reprlib.repr(target)}"
             )
         mapping.append(g_index[target])
     extra = set(raw) - set(h.labels)
     if extra:
-        raise DocumentError(f"map mentions unknown vertices {reprlib.repr(sorted(extra))}")
+        raise ValueError(f"map mentions unknown vertices {reprlib.repr(sorted(extra))}")
     if verify_finite_hom(mapping, h, g):
         print("measure-preserving homomorphism: yes")
         return EXIT_OK
@@ -368,9 +363,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     same process. It names no handler: each call looks the ``cmd_*``
     function up by the command's name at call time, so a function put
     into this module's namespace later (a tracer's wrapper, say) is the
-    one that runs. Every ``ValueError`` a handler raises, a
-    ``DocumentError`` or the library's refusal of an input, exits 2 with
-    its message on stderr.
+    one that runs. Every refusal of input is a ``ValueError``, whether the
+    parsers here or the library raise it, and exits 2 with its message on
+    stderr; ``SizeCapExceeded`` exits 3 and ``SaturationRequired`` 4.
     """
     args = make_parser().parse_args(argv)
     handler = {

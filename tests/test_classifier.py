@@ -32,8 +32,7 @@ from tensorindep import (
     violating_independent_set,
 )
 from tensorindep import classifier, mwis, tensor
-from tensorindep.classifier import default_power_cap
-from tensorindep.mwis import MWIS_CAP
+from tensorindep.mwis import MWIS_CAP, default_power_cap
 
 from conftest import measured_graphs
 from oracles import (
@@ -146,6 +145,24 @@ class TestClassify:
         for g in (p3, k2):
             with pytest.raises(ValueError, match="n_max"):
                 classify(g, 0)
+
+    def test_non_integer_power_cap_rejected_before_the_flow(self, monkeypatch, c5):
+        # A non-integer cap is refused, as range(2.5) refuses it, and an
+        # int-like is read; otherwise 2.5 would count up to three powers.
+        def refuse(g):
+            raise AssertionError("flow built")
+
+        monkeypatch.setattr(classifier, "cover_flow", refuse)
+        for n_max in (2.5, Fraction(5, 2)):
+            with pytest.raises(TypeError):
+                classify(c5, n_max)
+        monkeypatch.undo()
+
+        class Two:
+            def __index__(self):
+                return 2
+
+        assert classify(c5, Two()) == classify(c5, 2)
 
     @pytest.mark.parametrize(
         "name, n_max, terms",

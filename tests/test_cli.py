@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,6 +31,8 @@ from tensorindep.cli import (
     parse_graph_json,
 )
 from tensorindep.mwis import default_power_cap
+
+from oracles import all_uniform_graphs, random_measured_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -543,8 +547,8 @@ class TestParserFuzz:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(_DOCUMENT_TOKENS), max_size=40).map("".join))
     def test_parsers_return_a_graph_or_a_document_error(self, text):
-        # A DocumentError for the document's shape, the graph's own
-        # ValueError for its content: main maps both to exit 2.
+        # A ValueError for the document's shape or for the graph's own
+        # content: main maps every ValueError to exit 2.
         for parse in (parse_graph_json, parse_graph_edgelist):
             try:
                 graph = parse(text)
@@ -734,6 +738,43 @@ class TestOneParser:
         assert main(["analyze", path, "--max-power", "1"]) == 0
         assert seen == [path]
         assert capsys.readouterr().out == ""
+
+
+# sha256 of the reports test_reports_stay_byte_identical hashes.
+REPORT_DIGEST = "2390501a1308f0cedea78be881d92afa68d73f7604f3694d4a287b5d703c285d"
+
+
+def test_reports_stay_byte_identical():
+    """Whole analyze reports at power 2 hash to the recorded digest.
+
+    The inputs are the 1,099 uniform census graphs (at most 5 vertices)
+    and 300 measured graphs on 2-7 vertices from one seeded generator.
+    Each adds its ``json.dumps(report, indent=2)`` and its truncated flag
+    to the hash, so any change to a report's bytes fails here.
+
+    A change that means to alter reports re-pins the digest: paste the
+    output of ``python3 -c "import test_cli; print(test_cli._report_digest())"``,
+    run in ``tests/`` with ``src`` on ``PYTHONPATH``, into ``REPORT_DIGEST``.
+    A re-pin needs a line in CHANGES.md that names what changed in the
+    reports, and why.
+    """
+    assert _report_digest() == REPORT_DIGEST
+
+
+def _report_digest() -> str:
+    rng = random.Random(26)
+    graphs = [
+        *all_uniform_graphs(5),
+        *(
+            random_measured_graph(rng, 7, max_weight=4, min_vertices=2, density=0.4)
+            for _ in range(300)
+        ),
+    ]
+    digest = hashlib.sha256()
+    for g in graphs:
+        report, truncated = cli.build_report(g, 2, None)
+        digest.update(f"{json.dumps(report, indent=2)}\n{truncated}\n".encode())
+    return digest.hexdigest()
 
 
 def test_module_entrypoint_runs_in_subprocess(tmp_path):

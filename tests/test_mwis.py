@@ -180,6 +180,19 @@ class TestAlphaSequence:
         with pytest.raises(ValueError):
             alpha_sequence(c5, 0)
 
+    def test_non_integer_n_is_refused(self, c5):
+        # A non-integer n is refused, as range(2.5) refuses it, and an
+        # int-like is read; otherwise 2.5 would give three untruncated terms.
+        for n_max in (2.5, Fraction(5, 2)):
+            with pytest.raises(TypeError):
+                alpha_sequence(c5, n_max)
+
+        class Two:
+            def __index__(self):
+                return 2
+
+        assert alpha_sequence(c5, Two()) == alpha_sequence(c5, 2)
+
     def test_no_graph_is_built(self, monkeypatch, p3, k2_biased):
         # The powers are searched as rows and weights, with no labels.
         def refuse(*args):
@@ -353,7 +366,7 @@ class TestTransitiveStop:
     def test_complete_graphs_classify_at_once(self, n):
         g = complete_graph(n)
         start = time.perf_counter()
-        verdict = classify(g)
+        verdict = classify(g, default_power_cap(n))
         assert time.perf_counter() - start < 1.0
         assert verdict.rule == "vertex-transitive-uniform"
         terms = verdict.certificate.alpha_terms

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
+
+from tensorindep import errors
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tensorindep"
 
@@ -205,7 +208,7 @@ def qualified_nodes(
             inner = name
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{name}.{child.name}"
-            elif isinstance(child, kind):
+            if isinstance(child, kind):
                 found.append((child, name))
             stack.append((child, inner))
     return found
@@ -498,3 +501,60 @@ def test_power_comparisons_are_found():
         "    return Fraction(w, g.scale**n) != expected, g.n * n < cap\n"
     )
     assert power_comparisons(tree, "mod") == [(2, "mod.fits"), (5, "mod.grow")]
+
+
+EXCEPTION_BASES = {
+    name
+    for namespace in (vars(builtins), vars(errors))
+    for name, value in namespace.items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def exception_classes(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each class in ``tree`` that derives from an exception.
+
+    A base counts when its name, bare or as an attribute, is in
+    ``EXCEPTION_BASES`` (the built-in exceptions and those of
+    ``tensorindep.errors``) or is a class found earlier in ``tree``.
+    """
+    known = set(EXCEPTION_BASES)
+    found = []
+    for node, name in sorted(
+        qualified_nodes(tree, module, ast.ClassDef), key=lambda item: item[0].lineno
+    ):
+        bases = {getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases}
+        if bases & known:
+            known.add(node.name)
+            found.append((node.lineno, f"{name}.{node.name}"))
+    return found
+
+
+def test_exception_classes_live_only_in_errors():
+    # main's map from exception type to exit code is the one error
+    # contract, so every exception type the package declares is in
+    # errors.py, where main imports it from.
+    found = package_findings(exception_classes)
+    assert {name for name in found if not name.startswith("errors.")} == set()
+
+
+def test_exception_classes_are_found():
+    tree = ast.parse(
+        "from tensorindep import errors\n"
+        "class ParseError(ValueError):\n"
+        "    pass\n"
+        "class Truncated(errors.SizeCapExceeded):\n"
+        "    pass\n"
+        "def parse(text):\n"
+        "    class Unreadable(ParseError):\n"
+        "        pass\n"
+        "    raise Unreadable(text)\n"
+        "class Report(dict):\n"
+        "    class Kind(Enum):\n"
+        "        ONE = ValueError\n"
+    )
+    assert exception_classes(tree, "mod") == [
+        (2, "mod.ParseError"),
+        (4, "mod.Truncated"),
+        (7, "mod.parse.Unreadable"),
+    ]
