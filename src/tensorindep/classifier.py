@@ -30,7 +30,6 @@ base graph, so no row of the power is built.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,6 +39,7 @@ from .descriptor import DescriptorReport, descriptor_from_flow
 from .errors import SizeCapExceeded
 from .graphs import (
     WeightedGraph,
+    _positive_int,
     _rational,
     bipartition,
     is_independent,
@@ -106,9 +106,7 @@ def classify(g: WeightedGraph, n_max: int) -> LimitVerdict:
     abort the classification; whatever was computed stays in the
     certificate and the cascade falls through to the next applicable rule.
     """
-    n_max = operator.index(n_max)
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    n_max = _positive_int(n_max, "n_max")
     flow = cover_flow(g)
     q = violating_set_from_flow(g, flow)
     if q is not None:
@@ -185,8 +183,7 @@ def lower_bound_sequence(g: WeightedGraph, independent: int, count: int) -> Boun
     remaining power over U. terms[0] is mu(I), and term k lower-bounds
     m_{k+1}; the recursion converges to mu(I) / (mu(I) + mu(N(I))).
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    count = _positive_int(count, "count")
     if independent == 0:
         raise ValueError("independent set must be nonempty")
     if not is_independent(g, independent):
@@ -212,8 +209,7 @@ def majority_set_measure(p: Fraction | str, n: int) -> Fraction:
     p = _rational(p)
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0,1]")
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _positive_int(n, "n")
     q = 1 - p
     return sum(
         (math.comb(n, k) * p**k * q ** (n - k) for k in range(n // 2 + 1, n + 1)),

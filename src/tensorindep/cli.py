@@ -29,9 +29,9 @@ from typing import Optional, Sequence
 from .classifier import VerdictKind, classify, lower_bound_sequence
 from .descriptor import build_descriptor, interval_hom_to_json, verify_finite_hom
 from .errors import SaturationRequired, SizeCapExceeded
-from .graphs import WeightedGraph, _frac_str, iter_bits, mask_from
+from .graphs import WeightedGraph, _frac_str, _positive_int, iter_bits, mask_from
 from .mwis import MWIS_CAP, alpha_bar, alpha_sequence, default_power_cap
-from .tensor import _largest_power, tensor_power
+from .tensor import _refuse_oversized, tensor_power
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -249,8 +249,7 @@ def _parse_seed_set(g: WeightedGraph, ids: str) -> int:
 def cmd_analyze(args) -> int:
     g = load_graph(args.path)
     n_max = default_power_cap(g.n) if args.max_power is None else args.max_power
-    if n_max < 1:
-        raise ValueError("--max-power must be positive")
+    n_max = _positive_int(n_max, "--max-power")
     seed_set = None
     if args.seed_independent_set:
         seed_set = _parse_seed_set(g, args.seed_independent_set)
@@ -259,19 +258,14 @@ def cmd_analyze(args) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(render_text(report))
-        if truncated:
-            print("size cap hit: alpha sequence truncated", file=sys.stderr)
+    if truncated:
+        print("size cap hit: alpha sequence truncated", file=sys.stderr)
     return EXIT_SIZE_CAP if truncated else EXIT_OK
 
 
 def cmd_alpha(args) -> int:
     g = load_graph(args.path)
-    if args.power < 1:
-        raise ValueError("--power must be positive")
-    if _largest_power(g.n, args.power, MWIS_CAP) < args.power:
-        raise SizeCapExceeded(
-            f"search too large: {g.n}**{args.power} vertices exceeds cap {MWIS_CAP}"
-        )
+    _refuse_oversized(g.n, _positive_int(args.power, "--power"), MWIS_CAP, "search")
     power = tensor_power(g, args.power)
     result = alpha_bar(power)
     print(_frac_str(result.value))

@@ -12,7 +12,9 @@ the arithmetic. ``measures`` is the same measure as
 module owns the p/q text of a rational both ways: an outside value
 becomes a ``Fraction`` only in ``_rational``, which refuses exponents,
 floats and bools, and ``_frac_str`` writes the p/q text that reports
-carry. Graphs are frozen dataclasses, so they can be copied and pickled.
+carry. It also reads outside counts: ``_positive_int`` reads the
+exponent of every power. Graphs are frozen dataclasses, so they can be
+copied and pickled.
 
 Graph walks are written once, as two private helpers on raw adjacency
 rows: ``_reach`` is the union of the rows of a vertex set, and ``_walk``
@@ -26,6 +28,7 @@ vertex-transitivity check is one loop over a stack.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import reprlib
 from dataclasses import dataclass, field
@@ -57,6 +60,14 @@ def _rational(value) -> Fraction:
     raise ValueError(f"invalid rational {reprlib.repr(value)}")
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` by ``operator.index`` (2.5 raises ``TypeError``), refused below 1."""
+    value = operator.index(value)
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 def _frac_str(q: Fraction) -> str:
     """``q`` as the p/q text that ``_rational`` reads back; 1 is "1/1"."""
     return f"{q.numerator}/{q.denominator}"
@@ -83,8 +94,10 @@ def iter_bits(mask: int) -> Iterator[int]:
     mask longer than 1,024 bits that still holds bits after its first 64
     have come out goes on as a walk over its binary string, which is
     linear. Short masks, and long ones with few bits set (a row of a
-    large sparse graph), only ever take the loop.
+    large sparse graph), only ever take the loop. A negative mask raises ``ValueError``.
     """
+    if mask < 0:
+        raise ValueError(f"negative mask {reprlib.repr(mask)}")
     if mask.bit_length() > 1024:
         left = 64
         while mask:

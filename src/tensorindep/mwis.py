@@ -69,7 +69,6 @@ Complete graphs K4 and up have no odd cover and stop there.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -78,6 +77,7 @@ from .errors import SizeCapExceeded
 from .graphs import (
     TRANSITIVITY_CAP,
     WeightedGraph,
+    _positive_int,
     _walk,
     is_independent,
     is_vertex_transitive_uniform,
@@ -463,11 +463,9 @@ def alpha_sequence(
     within ``TRANSITIVITY_CAP`` (module docstring). One fill then
     repeats the last term up to the last power, as the sequence is
     nondecreasing; a decrease would mean a bug in the search and raises.
-    ``n_max`` is read by ``operator.index``, so 2.5 raises ``TypeError``.
+    ``n_max`` is read by ``graphs._positive_int``, so 2.5 raises ``TypeError``.
     """
-    n_max = operator.index(n_max)
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    n_max = _positive_int(n_max, "n_max")
     last = _largest_power(g.n, n_max, MWIS_CAP)
     terms: list[Fraction] = []
     # zip asks the range first, so no power past ``last`` is built.

@@ -29,7 +29,8 @@ Powers are built in one place: ``_powers`` yields the rows and weights of
 g, g^2, g^3, ... base first. ``tensor_power`` takes its n-th item and adds
 the labels; ``mwis.alpha_sequence`` searches each item as it comes and
 builds no graph for it. Whether a power fits a cap is decided in one
-place as well: ``_largest_power`` gives the largest exponent within it.
+place as well: ``_largest_power`` gives the largest exponent within it,
+and ``_refuse_oversized`` refuses one past it, for the CLI search cap too.
 
 A question about one vertex set of g^n needs no power at all. Two
 kernels answer it from the base and a bitmask over g^n's vertices:
@@ -47,7 +48,7 @@ from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, iter_bits
+from .graphs import WeightedGraph, _positive_int, iter_bits
 
 #: Largest vertex count a product or power will materialize.
 MATERIALIZATION_CAP = 10**6
@@ -121,8 +122,7 @@ class TensorPowerView:
     exponent: int
 
     def __post_init__(self):
-        if self.exponent < 1:
-            raise ValueError("exponent must be positive")
+        object.__setattr__(self, "exponent", _positive_int(self.exponent, "exponent"))
 
     @property
     def size(self) -> int:
@@ -199,14 +199,11 @@ def _powers(g: WeightedGraph) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
         weights = [a * b for a in g.weights for b in weights]
 
 
-def _refuse_oversized(m: int, n: int) -> None:
-    """Refuse n < 1, and a power m**n over ``MATERIALIZATION_CAP`` vertices."""
-    if n < 1:
-        raise ValueError("power must be positive")
-    if _largest_power(m, n, MATERIALIZATION_CAP) < n:
-        raise SizeCapExceeded(
-            f"power too large: {m}**{n} vertices exceeds cap {MATERIALIZATION_CAP}"
-        )
+def _refuse_oversized(m: int, n: int, cap: int = MATERIALIZATION_CAP, stage: str = "power") -> None:
+    """Refuse a power n below 1, and m**n over ``cap`` vertices, naming ``stage``."""
+    n = _positive_int(n, "power")
+    if _largest_power(m, n, cap) < n:
+        raise SizeCapExceeded(f"{stage} too large: {m}**{n} vertices exceeds cap {cap}")
 
 
 def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:

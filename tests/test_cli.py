@@ -339,6 +339,16 @@ class TestDefaultAnalyze:
         assert "size cap hit: alpha sequence truncated" in captured.err.splitlines()
         assert "timing: null" in captured.out.splitlines()
 
+    def test_truncation_in_json_says_so_on_stderr(self, capsys):
+        # Both formats print the same line, and the JSON report on stdout
+        # carries the flag as before.
+        path = str(DEMO_DATA / "c5_cycle.txt")
+        assert main(["analyze", path, "--max-power", "6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["size cap hit: alpha sequence truncated"]
+        report = json.loads(captured.out)
+        assert report["verdict"]["certificate"]["alpha_truncated"] is True
+
     def test_uniform_k5_ends_at_once(self, fixture_file, capsys):
         # K5 has no odd cycle cover, but it is vertex transitive, so the
         # searches stop after power 1; they used to run past 30 s.

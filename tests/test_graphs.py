@@ -14,18 +14,25 @@ from hypothesis import strategies as st
 
 from tensorindep import (
     SizeCapExceeded,
+    TensorPowerView,
     WeightedGraph,
+    alpha_sequence,
     bipartition,
     build_double_cover,
+    classify,
     complete_graph,
     cycle_graph,
     is_independent,
     is_vertex_transitive_uniform,
     iter_bits,
+    lower_bound_sequence,
+    majority_set_measure,
+    majority_witness,
     mask_from,
     measure_of,
     neighborhood,
     path_graph,
+    projection_hom,
     star_graph,
     tensor_power,
     tensor_product,
@@ -354,6 +361,14 @@ def test_iter_bits_on_long_masks():
     assert list(iter_bits(0)) == []
 
 
+def test_iter_bits_refuses_a_negative_mask():
+    # -1 has every bit set in two's complement, so a walk over it would
+    # never end.
+    for mask in (-1, -(1 << 2000)):
+        with pytest.raises(ValueError, match=r"^negative mask "):
+            next(iter_bits(mask))
+
+
 def test_families():
     assert path_graph(3).edge_count() == 2
     assert cycle_graph(6).edge_count() == 6
@@ -390,3 +405,32 @@ def test_families():
 def test_public_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Every entry point that takes an exponent reads it through
+# graphs._positive_int: a non-integer raises TypeError, as range() would,
+# and 0 raises that entry point's own ValueError.
+C5 = cycle_graph(5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda n: classify(C5, n), "n_max", id="classify"),
+        pytest.param(lambda n: alpha_sequence(C5, n), "n_max", id="alpha_sequence"),
+        pytest.param(lambda n: lower_bound_sequence(C5, 1, n), "count", id="lower_bound_sequence"),
+        pytest.param(lambda n: majority_set_measure("1/2", n), "n", id="majority_set_measure"),
+        pytest.param(lambda n: majority_witness(C5, 1, n), "power", id="majority_witness"),
+        pytest.param(lambda n: tensor_power(C5, n), "power", id="tensor_power"),
+        pytest.param(lambda n: TensorPowerView(C5, n), "exponent", id="TensorPowerView"),
+        pytest.param(
+            lambda n: projection_hom(TensorPowerView(C5, n), [0]), "exponent", id="projection_hom"
+        ),
+    ],
+)
+def test_exponents_are_positive_ints(call, message):
+    for exponent in (2.5, Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            call(exponent)
+    with pytest.raises(ValueError, match=f"^{message} must be positive$"):
+        call(0)

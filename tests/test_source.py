@@ -558,3 +558,61 @@ def test_exception_classes_are_found():
         (4, "mod.Truncated"),
         (7, "mod.parse.Unreadable"),
     ]
+
+
+def exponent_reads(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each exponent read by hand in ``tree``.
+
+    That is a call of ``operator.index`` (or of a bare ``index`` imported
+    from it) and a ``raise`` whose text, plain or an f-string, holds
+    "must be positive".
+    """
+    calls = [
+        (call.lineno, name)
+        for call, name in qualified_nodes(tree, module)
+        if getattr(call.func, "id", None) == "index"
+        or _names(call.func, "index") and getattr(call.func.value, "id", None) == "operator"
+    ]
+    raises = [
+        (node.lineno, name)
+        for node, name in qualified_nodes(tree, module, ast.Raise)
+        if node.exc is not None
+        and any(
+            isinstance(part, ast.Constant)
+            and isinstance(part.value, str)
+            and "must be positive" in part.value
+            for part in ast.walk(node.exc)
+        )
+    ]
+    return sorted(calls + raises)
+
+
+def test_exponents_are_read_only_in_positive_int():
+    # Every entry point takes its exponent from graphs._positive_int, so a
+    # float or a Fraction raises TypeError everywhere and 0 the one refusal.
+    assert package_findings(exponent_reads) == {"graphs._positive_int"}
+
+
+def test_exponent_reads_are_found():
+    tree = ast.parse(
+        "import operator\n"
+        "from operator import index\n"
+        "def power(g, n):\n"
+        "    n = operator.index(n)\n"
+        "    if n < 1:\n"
+        "        raise ValueError('n must be positive')\n"
+        "class View:\n"
+        "    def __post_init__(self):\n"
+        "        if self.exponent < 1:\n"
+        "            raise ValueError(f'{self.name} must be positive')\n"
+        "def other(labels, k):\n"
+        "    if k < 0:\n"
+        "        raise ValueError('k must be nonnegative')\n"
+        "    return labels.index('u'), index(k)\n"
+    )
+    assert exponent_reads(tree, "mod") == [
+        (4, "mod.power"),
+        (6, "mod.power"),
+        (10, "mod.View.__post_init__"),
+        (14, "mod.other"),
+    ]
