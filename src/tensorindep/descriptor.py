@@ -125,11 +125,13 @@ def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
     ends = list(zip(numerators[::2], numerators[1::2]))
 
     n = cover.n
+    fiber = [0] * n
     for p, (lo, hi) in zip(hom.pieces, ends):
         if not (0 <= lo < hi <= den):
             return f"piece [{p.lo},{p.hi}) is not a half-open subinterval of [0,1)"
         if not 0 <= p.target < n:
             return f"piece target {p.target} is not a cover vertex"
+        fiber[p.target] += hi - lo
 
     ordered = sorted(zip(ends, hom.pieces), key=lambda e: e[0][0])
     cursor = 0
@@ -142,9 +144,6 @@ def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
     if cursor != den:
         return f"coverage stops at {Fraction(cursor, den)} instead of 1"
 
-    fiber = [0] * n
-    for p, (lo, hi) in zip(hom.pieces, ends):
-        fiber[p.target] += hi - lo
     for z, w in enumerate(cover.weights):
         if fiber[z] * cover.scale != w * den:
             return (
@@ -208,8 +207,14 @@ def interval_hom_to_json(hom: IntervalHom, cover: WeightedGraph) -> list[dict]:
     ]
 
 
-def interval_hom_from_json(data: Sequence[dict], cover: WeightedGraph) -> IntervalHom:
-    """Pieces from ``interval_hom_to_json`` output, endpoints read by ``_rational``."""
+def interval_hom_from_json(data: list[dict], cover: WeightedGraph) -> IntervalHom:
+    """Pieces from ``interval_hom_to_json`` output, endpoints read by ``_rational``.
+
+    A document that is not a list, and a piece that is not such a dict,
+    raise ``ValueError``.
+    """
+    if not isinstance(data, list):
+        raise ValueError(f"interval pieces must be a list, not {reprlib.repr(data)}")
     labels = cover.labels
     if len(set(labels)) != len(labels):
         raise ValueError("cover labels are not unique; cannot resolve targets")

@@ -12,9 +12,11 @@ the arithmetic. ``measures`` is the same measure as
 module owns the p/q text of a rational both ways: an outside value
 becomes a ``Fraction`` only in ``_rational``, which refuses exponents,
 floats and bools, and ``_frac_str`` writes the p/q text that reports
-carry. It also reads outside counts: ``_positive_int`` reads the
-exponent of every power. Graphs are frozen dataclasses, so they can be
-copied and pickled.
+carry. It also reads outside integers: ``_index`` reads each one and
+refuses bools, and ``_positive_int`` reads the exponent of every power
+and the size of every family. ``iter_bits`` chooses its walk once per
+mask, up front. Graphs are frozen dataclasses, so they can be copied and
+pickled.
 
 Graph walks are written once, as two private helpers on raw adjacency
 rows: ``_reach`` is the union of the rows of a vertex set, and ``_walk``
@@ -60,9 +62,16 @@ def _rational(value) -> Fraction:
     raise ValueError(f"invalid rational {reprlib.repr(value)}")
 
 
+def _index(value) -> int:
+    """``value`` by ``operator.index``: 2.5, ``Fraction(5, 2)`` and ``True`` raise ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"bool {value} is not read as an integer")
+    return operator.index(value)
+
+
 def _positive_int(value, name: str) -> int:
-    """``value`` by ``operator.index`` (2.5 raises ``TypeError``), refused below 1."""
-    value = operator.index(value)
+    """``value`` by ``_index``, refused below 1."""
+    value = _index(value)
     if value < 1:
         raise ValueError(f"{name} must be positive")
     return value
@@ -90,28 +99,20 @@ def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in increasing order.
 
     Clearing the lowest bit copies the whole mask, so on a mask of
-    thousands of bits with many of them set the loop is quadratic. A
-    mask longer than 1,024 bits that still holds bits after its first 64
-    have come out goes on as a walk over its binary string, which is
-    linear. Short masks, and long ones with few bits set (a row of a
-    large sparse graph), only ever take the loop. A negative mask raises ``ValueError``.
+    thousands of bits with many of them set that loop is quadratic. The
+    walk is chosen once, up front: a mask longer than 1,024 bits with more
+    than 64 of them set is walked over its binary string, which is linear,
+    and every other mask (a row of a large sparse graph among them) by
+    clearing bits. A negative mask raises ``ValueError``.
     """
     if mask < 0:
         raise ValueError(f"negative mask {reprlib.repr(mask)}")
-    if mask.bit_length() > 1024:
-        left = 64
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-            left -= 1
-            if not left:
-                digits = bin(mask)[:1:-1]
-                i = digits.find("1")
-                while i >= 0:
-                    yield i
-                    i = digits.find("1", i + 1)
-                return
+    if mask.bit_length() > 1024 and mask.bit_count() > 64:
+        digits = bin(mask)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            yield i
+            i = digits.find("1", i + 1)
         return
     while mask:
         low = mask & -mask
@@ -379,9 +380,7 @@ def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:
     if not _uniform(g):
         return None
     if g.n > TRANSITIVITY_CAP:
-        raise SizeCapExceeded(
-            f"transitivity check too large: {g.n} vertices exceeds cap {TRANSITIVITY_CAP}"
-        )
+        raise SizeCapExceeded.over("transitivity check", g.n, TRANSITIVITY_CAP)
     order = [v for _, layer, _ in _layers(g) for v in iter_bits(layer)]
     return all(_automorphism_onto(g, order, w) for w in range(1, g.n))
 
@@ -389,6 +388,7 @@ def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:
 # Named families used throughout the tests and demos.
 
 def uniform_measures(n: int) -> list[Fraction]:
+    n = _positive_int(n, "n")
     return [Fraction(1, n)] * n
 
 
@@ -397,7 +397,7 @@ def path_graph(n: int) -> WeightedGraph:
 
 
 def cycle_graph(n: int) -> WeightedGraph:
-    if n < 3:
+    if _index(n) < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return WeightedGraph(uniform_measures(n), [(i, (i + 1) % n) for i in range(n)])
 
@@ -409,5 +409,5 @@ def complete_graph(n: int) -> WeightedGraph:
 
 def star_graph(leaves: int) -> WeightedGraph:
     """Star with the center at index 0 and ``leaves`` leaves."""
-    n = leaves + 1
+    n = _index(leaves) + 1
     return WeightedGraph(uniform_measures(n), [(0, i) for i in range(1, n)])

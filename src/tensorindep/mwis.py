@@ -170,8 +170,6 @@ def _max_weight(adj: tuple[int, ...], weights: Sequence[int], mask: int) -> int:
                 total += weights[v] if weights[v] > weights[u] else weights[u]
         else:
             rest.append(v)
-    if not rest:
-        return total
     live = mask if len(rest) == mask.bit_count() else mask_from(rest)
     while live:
         comp, odd = _component_of(adj, live, live & -live)
@@ -326,33 +324,22 @@ def _branch_and_bound(adj: tuple[int, ...], weights: Sequence[int], comp: int, o
     stack = [(comp, 0)]
     while stack:
         cand, current = stack.pop()
-        if current > best:
-            best = current
-        if not cand:
-            continue
-        # One scan: isolated vertices and the max-degree pivot.
-        isolated_weight = 0
-        live = cand
+        # One scan: take the isolated vertices, find the max-degree pivot.
+        isolated = 0
         pivot = -1
         pivot_degree = 0
         for v in iter_bits(cand):
             d = (adj[v] & cand).bit_count()
             if d == 0:
-                isolated_weight += weights[v]
-                live &= ~(1 << v)
+                current += weights[v]
+                isolated |= 1 << v
             elif d > pivot_degree:
                 pivot_degree = d
                 pivot = v
-        if pivot < 0:
-            if current + isolated_weight > best:
-                best = current + isolated_weight
-            continue
-        if isolated_weight:
-            current += isolated_weight
-            cand = live
-            if current > best:
-                best = current
-        if current + _cover_bound(adj, weights, cand) <= best:
+        cand ^= isolated
+        if current > best:
+            best = current
+        if pivot < 0 or current + _cover_bound(adj, weights, cand) <= best:
             continue
         if pivot_degree <= 2:
             current += _paths_and_cycles_max(adj, weights, cand)
@@ -386,7 +373,7 @@ def alpha_bar(g: WeightedGraph) -> AlphaResult:
     together stay under 2^n they never outweigh one unit of measure.
     """
     if g.n > MWIS_CAP:
-        raise SizeCapExceeded(f"search too large: {g.n} vertices exceeds cap {MWIS_CAP}")
+        raise SizeCapExceeded.over("search", g.n, MWIS_CAP)
     n = g.n
     weights = g.weights
     ranked = [w << n | 1 << (n - 1 - v) for v, w in enumerate(weights)]

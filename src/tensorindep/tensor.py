@@ -48,7 +48,7 @@ from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapExceeded
-from .graphs import WeightedGraph, _positive_int, iter_bits
+from .graphs import WeightedGraph, _index, _positive_int, iter_bits
 
 #: Largest vertex count a product or power will materialize.
 MATERIALIZATION_CAP = 10**6
@@ -64,9 +64,7 @@ def tensor_product(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
     """
     n = g.n * h.n
     if n > MATERIALIZATION_CAP:
-        raise SizeCapExceeded(
-            f"power too large: {n} vertices exceeds cap {MATERIALIZATION_CAP}"
-        )
+        raise SizeCapExceeded.over("power", n, MATERIALIZATION_CAP)
     weights = tuple([a * b for a in g.weights for b in h.weights])
     labels = tuple([f"({a},{b})" for a in g.labels for b in h.labels])
     return WeightedGraph._from_parts(
@@ -128,23 +126,24 @@ class TensorPowerView:
     def size(self) -> int:
         return self.base.n**self.exponent
 
-    def _check(self, coords: Sequence[int]) -> None:
-        """Refuse a tuple of the wrong length or with a coordinate out of range."""
+    def _coords(self, coords: Sequence[int]) -> Iterator[int]:
+        """Each coordinate by ``graphs._index``, refused out of range or at the wrong length."""
         if len(coords) != self.exponent:
             raise ValueError(f"expected {self.exponent} coordinates, got {len(coords)}")
         m = self.base.n
-        for c in coords:
+        for c in map(_index, coords):
             if not 0 <= c < m:
                 raise ValueError(f"coordinate {c} out of range")
+            yield c
 
     def encode(self, coords: Sequence[int]) -> int:
-        self._check(coords)
         index = 0
-        for c in coords:
+        for c in self._coords(coords):
             index = index * self.base.n + c
         return index
 
     def decode(self, index: int) -> tuple[int, ...]:
+        index = _index(index)
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range")
         coords = []
@@ -157,13 +156,12 @@ class TensorPowerView:
 def power_adjacent(view: TensorPowerView, a: Sequence[int], b: Sequence[int]) -> bool:
     """True iff every coordinate pair is adjacent in the base graph.
 
-    Both tuples are checked first, with ``encode``'s checks and messages,
-    so one of the wrong length or with a coordinate out of range raises
-    its ``ValueError``. No index is built: the checks are linear in the
-    exponent, where the index of the m^n-vertex power would not be.
+    Both tuples are read in full first, with ``encode``'s reads and
+    messages, so one of the wrong length or with a coordinate out of range
+    raises its ``ValueError``. No index is built: the reads are linear in
+    the exponent, where the index of the m^n-vertex power would not be.
     """
-    view._check(a)
-    view._check(b)
+    a, b = list(view._coords(a)), list(view._coords(b))
     adj = view.base.adj
     return all(adj[x] >> y & 1 for x, y in zip(a, b))
 
@@ -203,7 +201,7 @@ def _refuse_oversized(m: int, n: int, cap: int = MATERIALIZATION_CAP, stage: str
     """Refuse a power n below 1, and m**n over ``cap`` vertices, naming ``stage``."""
     n = _positive_int(n, "power")
     if _largest_power(m, n, cap) < n:
-        raise SizeCapExceeded(f"{stage} too large: {m}**{n} vertices exceeds cap {cap}")
+        raise SizeCapExceeded.over(stage, f"{m}**{n}", cap)
 
 
 def tensor_power(g: WeightedGraph, n: int) -> WeightedGraph:
@@ -312,7 +310,7 @@ def projection_hom(view: TensorPowerView, keep: Iterable[int]) -> list[int]:
     copy offset by its coordinate's place value in the image (0 when the
     position is dropped).
     """
-    kept = sorted(set(keep))
+    kept = sorted(set(map(_index, keep)))
     if not kept:
         raise ValueError("keep must be nonempty")
     if any(not 0 <= k < view.exponent for k in kept):

@@ -384,6 +384,17 @@ def _piece_json(lo, hi) -> list[dict]:
             r"^invalid interval piece .*'hi': 0\.5,",
             id="float-endpoint",
         ),
+        # A JSON null or a single piece is no list of pieces.
+        pytest.param(
+            lambda: interval_hom_from_json(None, K2_COVER),
+            r"^interval pieces must be a list, not None$",
+            id="null-document",
+        ),
+        pytest.param(
+            lambda: interval_hom_from_json(_piece_json("0/1", "1/2")[0], K2_COVER),
+            r"^interval pieces must be a list, not \{'hi': ",
+            id="piece-document",
+        ),
     ],
 )
 def test_public_value_errors(call, message):

@@ -339,9 +339,11 @@ def test_iter_bits_roundtrip():
 
 
 def test_iter_bits_on_long_masks():
-    # A long mask with many bits leaves the bit-clearing loop for a string
-    # walk after its first 64 bits; every length and density, and set-bit
-    # counts at the switch, must give the same list as the indices put in.
+    # iter_bits walks a mask over its binary string when it is longer than
+    # 1,024 bits with more than 64 of them set, and by clearing bits
+    # otherwise; every length and density, and lengths and set-bit counts
+    # on either side of that choice, must give the same list as the
+    # indices put in.
     rng = random.Random(0xB175)
     cases = [
         (length, max(1, round(length * density)))
@@ -349,6 +351,7 @@ def test_iter_bits_on_long_masks():
         for density in (0.0001, 0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0)
     ]
     cases += [(2000, count) for count in (63, 64, 65, 128)]
+    cases += [(length, count) for length in (1024, 1025) for count in (64, 65)]
     for length, count in cases:
         # The top bit is always set, so the mask is ``length`` bits long.
         expected = sorted(rng.sample(range(length - 1), count - 1)) + [length - 1]
@@ -377,6 +380,15 @@ def test_families():
     assert sum(star_graph(4).measures) == 1
 
 
+def test_family_sizes_are_ints():
+    # True would pass for 1, and a cycle of True vertices would be
+    # refused as too short, not as no size at all.
+    for family in (path_graph, cycle_graph, complete_graph, star_graph):
+        for size in (4.0, Fraction(4), True):
+            with pytest.raises(TypeError):
+                family(size)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -393,6 +405,11 @@ def test_families():
             id="set-outside",
         ),
         pytest.param(lambda: cycle_graph(2), "at least 3 vertices", id="cycle-of-two"),
+        # The families read their size by _positive_int; a star of -1
+        # leaves has 0 vertices.
+        pytest.param(lambda: path_graph(0), r"^n must be positive$", id="path-of-none"),
+        pytest.param(lambda: complete_graph(0), r"^n must be positive$", id="complete-of-none"),
+        pytest.param(lambda: star_graph(-1), r"^n must be positive$", id="star-of-none"),
         # Neither is an exact rational: 0.1 is a binary fraction, True is 1.
         pytest.param(
             lambda: WeightedGraph([0.1, 0.9], []), r"^invalid rational 0\.1$", id="float-measure"
@@ -408,8 +425,8 @@ def test_public_value_errors(call, message):
 
 
 # Every entry point that takes an exponent reads it through
-# graphs._positive_int: a non-integer raises TypeError, as range() would,
-# and 0 raises that entry point's own ValueError.
+# graphs._positive_int: a non-integer or a bool raises TypeError, and 0
+# raises that entry point's own ValueError.
 C5 = cycle_graph(5)
 
 
@@ -429,7 +446,7 @@ C5 = cycle_graph(5)
     ],
 )
 def test_exponents_are_positive_ints(call, message):
-    for exponent in (2.5, Fraction(5, 2)):
+    for exponent in (2.5, Fraction(5, 2), True):
         with pytest.raises(TypeError):
             call(exponent)
     with pytest.raises(ValueError, match=f"^{message} must be positive$"):

@@ -589,8 +589,10 @@ def exponent_reads(tree: ast.Module, module: str) -> list[tuple[int, str]]:
 
 def test_exponents_are_read_only_in_positive_int():
     # Every entry point takes its exponent from graphs._positive_int, so a
-    # float or a Fraction raises TypeError everywhere and 0 the one refusal.
-    assert package_findings(exponent_reads) == {"graphs._positive_int"}
+    # float, a Fraction or a bool raises TypeError everywhere and 0 the one
+    # refusal. Its operator.index call is graphs._index, which also reads
+    # every tensor coordinate, index and position.
+    assert package_findings(exponent_reads) == {"graphs._index", "graphs._positive_int"}
 
 
 def test_exponent_reads_are_found():
@@ -616,3 +618,39 @@ def test_exponent_reads_are_found():
         (10, "mod.View.__post_init__"),
         (14, "mod.other"),
     ]
+
+
+def cap_refusals(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each call of ``SizeCapExceeded`` itself in ``tree``.
+
+    A call of ``SizeCapExceeded.over`` is not one; a bare name and an
+    attribute such as ``errors.SizeCapExceeded`` both are.
+    """
+    return sorted(
+        (call.lineno, name)
+        for call, name in qualified_nodes(tree, module)
+        if _names(call.func, "SizeCapExceeded")
+    )
+
+
+def test_cap_refusals_are_built_only_in_over():
+    # SizeCapExceeded.over writes the one "<stage> too large: <size>
+    # vertices exceeds cap <cap>" text that reports and exit 3 carry.
+    found = package_findings(cap_refusals)
+    assert found <= {"errors.SizeCapExceeded.over"}
+
+
+def test_cap_refusals_are_found():
+    tree = ast.parse(
+        "from tensorindep import errors\n"
+        "from tensorindep.errors import SizeCapExceeded\n"
+        "def power(m, n, cap):\n"
+        "    raise SizeCapExceeded(f'power too large: {m}**{n} vertices exceeds cap {cap}')\n"
+        "class Search:\n"
+        "    def run(self, g):\n"
+        "        error = errors.SizeCapExceeded('search too large')\n"
+        "        raise SizeCapExceeded.over('search', g.n, 4096) from error\n"
+        "def other(exc):\n"
+        "    return isinstance(exc, SizeCapExceeded), errors.SizeCapExceeded\n"
+    )
+    assert cap_refusals(tree, "mod") == [(4, "mod.power"), (7, "mod.Search.run")]

@@ -478,3 +478,23 @@ def test_alpha_sequence_terms_are_pinned(g, n_max, terms):
 def test_public_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+C5_SQUARED = TensorPowerView(cycle_graph(5), 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x: C5_SQUARED.encode([x, 2]), id="encode"),
+        pytest.param(lambda x: C5_SQUARED.decode(x), id="decode"),
+        pytest.param(lambda x: power_adjacent(C5_SQUARED, (0, x), (1, 2)), id="power_adjacent"),
+        pytest.param(lambda x: projection_hom(C5_SQUARED, [x]), id="projection_hom"),
+    ],
+)
+def test_coordinates_indices_and_positions_are_ints(call):
+    # Each is read by graphs._index, as exponents are: 1.0 is no int, and
+    # True would pass for 1.
+    for x in (1.0, Fraction(1), True):
+        with pytest.raises(TypeError, match="^bool True is not read|cannot be interpreted as"):
+            call(x)
