@@ -9,10 +9,15 @@ implicit interval graph pairs t with t + 1/2, a continuum perfect
 matching that is vertex transitive under rotation, so its existence
 caps the limiting independence measure of the tensor powers at 1/2.
 
-The interval graph itself is never materialized; the piece list is the
-whole artifact, and the verifier checks its defining properties (an
-exact tiling of [0,1), fiber lengths equal to the cover measures, and
-adjacent targets on every mirror pair) at the finitely many breakpoints.
+The interval graph itself is never materialized. The map is stored as
+integer tiles (lo, hi, target) over one denominator ``den``, the least
+that puts every endpoint and 1/2 on integers: the flow's units go into
+the tiles as they are, and the verifier checks the map's defining
+properties (an exact tiling of [0,1), fiber lengths equal to the cover
+measures, and adjacent targets on every mirror pair) at the finitely
+many breakpoints on those integers. ``IntervalPiece`` values, with
+``Fraction`` endpoints, are built only when ``IntervalHom.pieces`` is
+read.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from .errors import SaturationRequired
-from .graphs import WeightedGraph, _frac_str, _integer_measures, _rational
+from .graphs import WeightedGraph, _frac_str, _index, _integer_measures, _rational
 from .hallflow import HALF, FlowResult, _cover_edge_flows, cover_flow
 from .hallflow import max_flow  # noqa: F401  still bound here for bench/tests/test_bench.py
 
@@ -37,11 +42,52 @@ class IntervalPiece:
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntervalHom:
-    """Piecewise-constant map from [0,1) onto the double cover."""
+    """Piecewise-constant map from [0,1) onto the double cover.
 
-    pieces: tuple[IntervalPiece, ...]
+    ``tiles`` holds one integer triple (lo, hi, target) per piece, the
+    piece being [lo/den, hi/den) mapped to cover vertex ``target``.
+    ``den`` is the least denominator that puts every endpoint and 1/2 on
+    integers, so equal maps compare equal. ``IntervalHom(pieces)`` takes
+    ``IntervalPiece`` values: endpoints are read by ``_rational`` and
+    targets by ``_index``. ``pieces`` builds them back on read.
+    """
+
+    tiles: tuple[tuple[int, int, int], ...]
+    den: int
+
+    def __init__(self, pieces: Iterable[IntervalPiece]):
+        spans = [(_rational(p.lo), _rational(p.hi), _index(p.target)) for p in pieces]
+        tiles, den = _over_den(spans)
+        object.__setattr__(self, "tiles", tiles)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _from_tiles(cls, tiles: tuple[tuple[int, int, int], ...], den: int) -> "IntervalHom":
+        # Internal fast path: ``den`` must already be the least denominator.
+        hom = object.__new__(cls)
+        object.__setattr__(hom, "tiles", tiles)
+        object.__setattr__(hom, "den", den)
+        return hom
+
+    @property
+    def pieces(self) -> tuple[IntervalPiece, ...]:
+        """The tiles as ``IntervalPiece`` values with ``Fraction`` endpoints, built on read."""
+        den = self.den
+        return tuple(
+            IntervalPiece(Fraction(lo, den), Fraction(hi, den), target)
+            for lo, hi, target in self.tiles
+        )
+
+
+def _over_den(
+    spans: Sequence[tuple[Fraction, Fraction, int]],
+) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """(lo, hi, target) spans as integer tiles over their least denominator with 1/2."""
+    numerators, den = _integer_measures([e for lo, hi, _ in spans for e in (lo, hi)] + [HALF])
+    targets = [t for _, _, t in spans]
+    return tuple(zip(numerators[::2], numerators[1::2], targets)), den
 
 
 @dataclass(frozen=True)
@@ -84,24 +130,24 @@ def descriptor_from_flow(result: FlowResult) -> DescriptorReport:
     cover = result.network.cover
     scale = cover.scale
     half = scale // 2
-    # Positions count units of 1/scale.
-    base_pieces = []
-    mirror_pieces = []
-    position = 0
-    lo, mirror_lo = Fraction(0), HALF
+    # Positions count units of 1/scale; each tile's hi is the next one's lo.
+    base_tiles = []
+    mirror_tiles = []
+    lo = 0
     for x, y, f in _cover_edge_flows(result):
-        position += f
-        # Each boundary is built once: a tile's hi is the next tile's lo.
-        hi = Fraction(position, scale)
-        mirror_hi = Fraction(position + half, scale)
-        base_pieces.append(IntervalPiece(lo, hi, x))
-        mirror_pieces.append(IntervalPiece(mirror_lo, mirror_hi, y))
-        lo, mirror_lo = hi, mirror_hi
-    if position != half:
+        hi = lo + f
+        base_tiles.append((lo, hi, x))
+        mirror_tiles.append((lo + half, hi + half, y))
+        lo = hi
+    if lo != half:
         raise AssertionError(
-            f"edge flows tile [0,{Fraction(position, scale)}) instead of [0,1/2)"
+            f"edge flows tile [0,{Fraction(lo, scale)}) instead of [0,1/2)"
         )
-    return DescriptorReport(IntervalHom(tuple(base_pieces + mirror_pieces)), cover)
+    # scale is already the least denominator: a saturating flow fills every
+    # source arc, so the tiles of each x add up to its weight, and a factor
+    # common to every boundary would divide all the weights, which have none.
+    hom = IntervalHom._from_tiles(tuple(base_tiles + mirror_tiles), scale)
+    return DescriptorReport(hom, cover)
 
 
 def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
@@ -111,33 +157,31 @@ def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
     overlap; the total length mapped to each cover vertex equals its
     measure; and every tile of [0,1/2) has its exact +1/2 mirror with an
     adjacent target. A piecewise-constant map makes these finitely many
-    breakpoint checks decide the continuum conditions. Every endpoint is
-    put over one common denominator D, a multiple of 2, so the checks run
-    on integer numerators; fibers are compared with the cover's weights
-    over its scale by cross-multiplying, and a ``Fraction`` is built only
-    for a message.
+    breakpoint checks decide the continuum conditions. The checks run on
+    the integer tiles over ``hom.den``, a multiple of 2; fibers are
+    compared with the cover's weights over its scale by cross-multiplying,
+    and a ``Fraction`` is built only for a message.
     """
-    # Every endpoint, and 1/2 last, as integers over one denominator.
-    numerators, den = _integer_measures(
-        [e for p in hom.pieces for e in (p.lo, p.hi)] + [HALF]
-    )
-    half = numerators.pop()
-    ends = list(zip(numerators[::2], numerators[1::2]))
+    den = hom.den
+    half = den // 2
+
+    def span(lo: int, hi: int) -> str:
+        return f"[{Fraction(lo, den)},{Fraction(hi, den)})"
 
     n = cover.n
     fiber = [0] * n
-    for p, (lo, hi) in zip(hom.pieces, ends):
+    for lo, hi, target in hom.tiles:
         if not (0 <= lo < hi <= den):
-            return f"piece [{p.lo},{p.hi}) is not a half-open subinterval of [0,1)"
-        if not 0 <= p.target < n:
-            return f"piece target {p.target} is not a cover vertex"
-        fiber[p.target] += hi - lo
+            return f"piece {span(lo, hi)} is not a half-open subinterval of [0,1)"
+        if not 0 <= target < n:
+            return f"piece target {target} is not a cover vertex"
+        fiber[target] += hi - lo
 
-    ordered = sorted(zip(ends, hom.pieces), key=lambda e: e[0][0])
+    ordered = sorted(hom.tiles)
     cursor = 0
-    for (lo, hi), p in ordered:
+    for lo, hi, _ in ordered:
         if lo < cursor:
-            return f"pieces overlap at {p.lo}"
+            return f"pieces overlap at {Fraction(lo, den)}"
         if lo > cursor:
             return f"gap in coverage at {Fraction(cursor, den)}"
         cursor = hi
@@ -152,21 +196,21 @@ def check_interval_hom(hom: IntervalHom, cover: WeightedGraph) -> Optional[str]:
             )
 
     upper = {}
-    for (lo, hi), p in ordered:
+    for lo, hi, target in ordered:
         if lo < half < hi:
-            return f"piece [{p.lo},{p.hi}) straddles 1/2"
+            return f"piece {span(lo, hi)} straddles 1/2"
         if lo >= half:
-            upper[(lo, hi)] = p.target
-    for (lo, hi), p in ordered:
+            upper[(lo, hi)] = target
+    for lo, hi, target in ordered:
         if hi > half:
             continue
         key = (lo + half, hi + half)
         if key not in upper:
-            return f"piece [{p.lo},{p.hi}) has no mirror at +1/2"
+            return f"piece {span(lo, hi)} has no mirror at +1/2"
         mate = upper[key]
-        if not cover.adj[p.target] >> mate & 1:
+        if not cover.adj[target] >> mate & 1:
             return (
-                f"mirror pair [{p.lo},{p.hi}) targets {cover.labels[p.target]} and "
+                f"mirror pair {span(lo, hi)} targets {cover.labels[target]} and "
                 f"{cover.labels[mate]}, which are not adjacent in the cover"
             )
     return None
@@ -183,6 +227,7 @@ def verify_finite_hom(
     """
     if len(mapping) != h.n:
         raise ValueError(f"mapping covers {len(mapping)} of {h.n} vertices")
+    mapping = list(map(_index, mapping))
     if any(not 0 <= t < g.n for t in mapping):
         raise ValueError("mapping image out of range")
     for u, v in h.edges():
@@ -198,17 +243,21 @@ def verify_finite_hom(
 def interval_hom_to_json(hom: IntervalHom, cover: WeightedGraph) -> list[dict]:
     """Serialize pieces as {lo, hi, target-label} dicts in piece order.
 
-    Endpoints are p/q text from ``graphs._frac_str``.
+    Endpoints are p/q text from ``graphs._frac_str``, one ``Fraction``
+    built per distinct boundary.
     """
+    den = hom.den
+    ends = {e for lo, hi, _ in hom.tiles for e in (lo, hi)}
+    text = {e: _frac_str(Fraction(e, den)) for e in ends}
     labels = cover.labels
     return [
-        {"lo": _frac_str(p.lo), "hi": _frac_str(p.hi), "target": labels[p.target]}
-        for p in hom.pieces
+        {"lo": text[lo], "hi": text[hi], "target": labels[target]}
+        for lo, hi, target in hom.tiles
     ]
 
 
 def interval_hom_from_json(data: list[dict], cover: WeightedGraph) -> IntervalHom:
-    """Pieces from ``interval_hom_to_json`` output, endpoints read by ``_rational``.
+    """The map from ``interval_hom_to_json`` output, endpoints read by ``_rational``.
 
     A document that is not a list, and a piece that is not such a dict,
     raise ``ValueError``.
@@ -219,12 +268,10 @@ def interval_hom_from_json(data: list[dict], cover: WeightedGraph) -> IntervalHo
     if len(set(labels)) != len(labels):
         raise ValueError("cover labels are not unique; cannot resolve targets")
     index = {label: z for z, label in enumerate(labels)}
-    pieces = []
+    spans = []
     for entry in data:
         try:
-            target = index[entry["target"]]
-            piece = IntervalPiece(_rational(entry["lo"]), _rational(entry["hi"]), target)
+            spans.append((_rational(entry["lo"]), _rational(entry["hi"]), index[entry["target"]]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid interval piece {reprlib.repr(entry)}") from exc
-        pieces.append(piece)
-    return IntervalHom(tuple(pieces))
+    return IntervalHom._from_tiles(*_over_den(spans))

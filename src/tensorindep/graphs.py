@@ -160,6 +160,7 @@ class WeightedGraph:
                 raise ValueError(f"{len(labels)} labels for {n} vertices")
         adj = [0] * n
         for u, v in edges:
+            u, v = _index(u), _index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
             if u == v:
@@ -266,9 +267,12 @@ def _walk(adj: Sequence[int], mask: int, start: int) -> Iterator[tuple[int, int]
         seen |= layer
 
 
-def _check_subset(g: WeightedGraph, s: int) -> None:
+def _check_subset(g: WeightedGraph, s: int) -> int:
+    """The vertex set ``s`` read by ``_index``, refused outside ``g``'s vertices."""
+    s = _index(s)
     if s < 0 or s & ~g.full_mask:
         raise ValueError(f"vertex set {bin(s)} not within the {g.n}-vertex range")
+    return s
 
 
 def neighborhood(g: WeightedGraph, s: int) -> int:
@@ -276,13 +280,13 @@ def neighborhood(g: WeightedGraph, s: int) -> int:
 
     The result may intersect ``s`` itself.
     """
-    _check_subset(g, s)
+    s = _check_subset(g, s)
     return _reach(g.adj, s)
 
 
 def measure_of(g: WeightedGraph, s: int) -> Fraction:
     """Exact total measure of the vertex set ``s``."""
-    _check_subset(g, s)
+    s = _check_subset(g, s)
     weights = g.weights
     return Fraction(sum([weights[v] for v in iter_bits(s)]), g.scale)
 
@@ -296,7 +300,7 @@ def _integer_measures(measures: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def is_independent(g: WeightedGraph, s: int) -> bool:
     """True iff no edge of ``g`` has both endpoints in ``s``."""
-    _check_subset(g, s)
+    s = _check_subset(g, s)
     return not _reach(g.adj, s) & s
 
 

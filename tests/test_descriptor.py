@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from tensorindep import (
     IntervalPiece,
     SaturationRequired,
     TensorPowerView,
+    WeightedGraph,
     build_descriptor,
     build_double_cover,
     check_interval_hom,
@@ -28,6 +30,7 @@ from tensorindep import (
 )
 from tensorindep.cli import load_graph
 from tensorindep.descriptor import DescriptorReport, descriptor_from_flow
+from tensorindep.graphs import _frac_str
 from tensorindep.hallflow import cover_flow
 
 from conftest import measured_graphs
@@ -108,6 +111,40 @@ class TestBuildDescriptor:
         report = build_descriptor(g)
         cover = build_double_cover(g)
         assert check_interval_hom(report.hom, cover) is None
+
+    @settings(max_examples=40)
+    @given(measured_graphs())
+    def test_tiles_are_over_the_least_denominator(self, g):
+        # The flow's tiles sit over the cover's scale; rebuilding the map
+        # from its Fraction pieces gives the same tiles and denominator.
+        if violating_independent_set(g) is not None:
+            return
+        report = build_descriptor(g)
+        again = IntervalHom(report.hom.pieces)
+        assert again == report.hom
+        assert hash(again) == hash(report.hom)
+        assert check_interval_hom(again, report.cover) is None
+
+    def test_cubic_bipartite_at_workload_size(self):
+        # Uniform bipartite cubic graph on 1,400 vertices: three seeded
+        # perfect matchings between the halves, with no edge twice.
+        rng = random.Random(1)
+        half = 700
+        edges = set()
+        while len(edges) < 3 * half:
+            perm = list(range(half))
+            rng.shuffle(perm)
+            matching = {(i, half + perm[i]) for i in range(half)}
+            if not matching & edges:
+                edges |= matching
+        g = WeightedGraph([Fraction(1, 2 * half)] * (2 * half), sorted(edges))
+        report = build_descriptor(g)
+        assert check_interval_hom(report.hom, report.cover) is None
+        labels = report.cover.labels
+        assert interval_hom_to_json(report.hom, report.cover) == [
+            {"lo": _frac_str(p.lo), "hi": _frac_str(p.hi), "target": labels[p.target]}
+            for p in report.hom.pieces
+        ]
 
 
 class TestVerifyIntervalHom:
@@ -367,6 +404,12 @@ def _piece_json(lo, hi) -> list[dict]:
             r"^mapping image out of range$",
             id="image-outside",
         ),
+        # The constructor reads endpoints by _rational, as the JSON reader does.
+        pytest.param(
+            lambda: IntervalHom([IntervalPiece(0.5, Fraction(1), 0)]),
+            r"^invalid rational 0\.5$",
+            id="float-piece-endpoint",
+        ),
         pytest.param(
             lambda: interval_hom_from_json([], K2_COVER.relabeled(["x"] * 4)),
             "^cover labels are not unique",
@@ -400,3 +443,21 @@ def _piece_json(lo, hi) -> list[dict]:
 def test_public_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda x: verify_finite_hom([0, x], complete_graph(2), complete_graph(2)), id="image"
+        ),
+        pytest.param(
+            lambda x: IntervalHom([IntervalPiece(Fraction(0), Fraction(1), x)]), id="piece-target"
+        ),
+    ],
+)
+def test_images_and_targets_are_ints(call):
+    # Read by graphs._index: True would pass for vertex 1.
+    for x in (1.0, Fraction(1), True):
+        with pytest.raises(TypeError, match="^bool True is not read|cannot be interpreted as"):
+            call(x)

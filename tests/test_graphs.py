@@ -389,6 +389,26 @@ def test_family_sizes_are_ints():
                 family(size)
 
 
+K2 = complete_graph(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x: WeightedGraph(["1/2", "1/2"], [(0, x)]), id="edge-endpoint"),
+        pytest.param(lambda x: neighborhood(K2, x), id="neighborhood"),
+        pytest.param(lambda x: measure_of(K2, x), id="measure_of"),
+        pytest.param(lambda x: is_independent(K2, x), id="is_independent"),
+    ],
+)
+def test_endpoints_and_vertex_sets_are_ints(call):
+    # Read by graphs._index: True would pass for vertex 1 or the set {0},
+    # and 1.0 would die on a bare operator error.
+    for x in (1.0, Fraction(1), True):
+        with pytest.raises(TypeError, match="^bool True is not read|cannot be interpreted as"):
+            call(x)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

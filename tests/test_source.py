@@ -654,3 +654,35 @@ def test_cap_refusals_are_found():
         "    return isinstance(exc, SizeCapExceeded), errors.SizeCapExceeded\n"
     )
     assert cap_refusals(tree, "mod") == [(4, "mod.power"), (7, "mod.Search.run")]
+
+
+def piece_builds(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of each call of ``IntervalPiece`` in ``tree``."""
+    return sorted(
+        (call.lineno, name)
+        for call, name in qualified_nodes(tree, module)
+        if _names(call.func, "IntervalPiece")
+    )
+
+
+def test_pieces_are_built_only_on_read():
+    # The map is integer tiles over one denominator; its Fraction pieces
+    # are built only when IntervalHom.pieces is read.
+    assert package_findings(piece_builds) == {"descriptor.IntervalHom.pieces"}
+
+
+def test_piece_builds_are_found():
+    tree = ast.parse(
+        "from tensorindep import descriptor\n"
+        "def descriptor_from_flow(result, scale):\n"
+        "    base_pieces = []\n"
+        "    for x, y, f in _cover_edge_flows(result):\n"
+        "        base_pieces.append(IntervalPiece(lo, Fraction(f, scale), x))\n"
+        "    return IntervalHom(tuple(base_pieces))\n"
+        "class Reader:\n"
+        "    def piece(self, entry):\n"
+        "        return descriptor.IntervalPiece(entry['lo'], entry['hi'], 0)\n"
+        "def other(hom):\n"
+        "    return hom.pieces, IntervalPiece, isinstance(hom, IntervalHom)\n"
+    )
+    assert piece_builds(tree, "mod") == [(5, "mod.descriptor_from_flow"), (9, "mod.Reader.piece")]
