@@ -9,9 +9,13 @@ any independent set back through a projection and it stays independent
 with the same measure.
 """
 
+from fractions import Fraction
+
 from tensorindep import (
     TensorPowerView,
+    WeightedGraph,
     alpha_sequence,
+    bipartition,
     cycle_graph,
     path_graph,
     power_adjacent,
@@ -20,6 +24,7 @@ from tensorindep import (
     tensor_product,
     verify_finite_hom,
 )
+from tensorindep.mwis import _pattern_classes
 
 print("=" * 64)
 print("  1. small products, explicitly")
@@ -71,3 +76,19 @@ print(f"  verify_finite_hom: {verify_finite_hom(mapping, cube, tensor_power(c5, 
 mapping0 = projection_hom(v3, [2])
 print(f"project C5^3 -> C5 on the last coordinate:")
 print(f"  verify_finite_hom: {verify_finite_hom(mapping0, cube, c5)}")
+
+print("\n" + "=" * 64)
+print("  5. bipartite powers split into side-pattern classes")
+print("=" * 64)
+
+print("\nEvery edge of g^k joins a side pattern in {X, Y}^k to its complement,")
+print("and permuting coordinates maps classes onto classes: alpha_sequence")
+print("searches one class per orbit and counts it once per member.")
+k2_biased = WeightedGraph([Fraction(2, 3), Fraction(1, 3)], [(0, 1)])
+for name, g, n in [("P3", path_graph(3), 7), ("biased K2", k2_biased, 12)]:
+    sides = bipartition(g)
+    print(f"\n{name}: classes searched, their vertices / |V(g^k)|")
+    for k in range(1, n + 1):
+        classes = list(_pattern_classes(g.n, sides, k))
+        searched = sum(mask.bit_count() for _, mask in classes)
+        print(f"  k={k:<2}  {len(classes)} classes, {searched:>3} / {g.n**k}")

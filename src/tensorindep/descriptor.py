@@ -243,12 +243,12 @@ def verify_finite_hom(
 def interval_hom_to_json(hom: IntervalHom, cover: WeightedGraph) -> list[dict]:
     """Serialize pieces as {lo, hi, target-label} dicts in piece order.
 
-    Endpoints are p/q text from ``graphs._frac_str``, one ``Fraction``
-    built per distinct boundary.
+    Endpoints are p/q text from ``graphs._frac_str``, written once per
+    distinct boundary from its integer over ``hom.den``.
     """
     den = hom.den
     ends = {e for lo, hi, _ in hom.tiles for e in (lo, hi)}
-    text = {e: _frac_str(Fraction(e, den)) for e in ends}
+    text = {e: _frac_str(e, den) for e in ends}
     labels = cover.labels
     return [
         {"lo": text[lo], "hi": text[hi], "target": labels[target]}

@@ -77,9 +77,16 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
-def _frac_str(q: Fraction) -> str:
-    """``q`` as the p/q text that ``_rational`` reads back; 1 is "1/1"."""
-    return f"{q.numerator}/{q.denominator}"
+def _frac_str(q: Fraction | int, den: int = 1) -> str:
+    """``q / den`` as the p/q text that ``_rational`` reads back; 1 is "1/1".
+
+    ``q`` is a ``Fraction``, or an integer numerator over the positive
+    integer ``den``, reduced by one ``math.gcd`` with no ``Fraction`` built.
+    """
+    if den == 1:
+        return f"{q.numerator}/{q.denominator}"
+    common = math.gcd(q, den)
+    return f"{q // common}/{den // common}"
 
 
 def _brief(q: Fraction) -> str:

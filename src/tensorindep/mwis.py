@@ -65,13 +65,31 @@ vertex-transitive base of at most ``TRANSITIVITY_CAP`` vertices does:
 then alpha(g x h) = max(alpha(g), alpha(h)) for every uniform h (Zhang,
 J. Combin. Theory Ser. B, 2012), so alpha(g^n) = alpha(g) for every n.
 Complete graphs K4 and up have no odd cover and stop there.
+
+On a bipartite base with sides (X, Y), ``alpha_sequence`` searches only
+part of each power. Every edge of g^k joins a vertex whose coordinates
+follow a side pattern p in {X, Y}^k to one following the complementary
+pattern ~p (Weichsel, "The Kronecker product of graphs", Proc. AMS
+1962), so g^k falls into 2^(k-1) classes V(p) | V(~p) with no edge
+between two of them, and its optimum is the sum of theirs. Permuting the
+coordinates of g^k is a measure-preserving automorphism, and maps a
+class onto one whose p has as many X's; so the classes fall into orbits,
+one per j = 0 .. k // 2, and the orbit of V(X^j Y^(k-j)) | V(Y^j X^(k-j))
+holds C(k, j) classes, C(k, j) / 2 when 2j = k. One search per orbit,
+times the orbit's size, gives the optimum: P3^7 takes four searches
+over 255 of its 2,187 vertices, K2^12 seven searches of one edge each.
+Each class is a union of components, so disconnected bases and isolated
+vertices need nothing more; an edgeless base has Y empty, and its only
+nonempty class is everything. A base with an odd cycle is one class,
+searched whole.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import SizeCapExceeded
 from .graphs import (
@@ -79,12 +97,13 @@ from .graphs import (
     WeightedGraph,
     _positive_int,
     _walk,
+    bipartition,
     is_independent,
     is_vertex_transitive_uniform,
     iter_bits,
     mask_from,
 )
-from .tensor import _largest_power, _powers
+from .tensor import _largest_power, _powers, _product_mask
 
 #: Largest vertex count the independent-set search accepts.
 MWIS_CAP = 4096
@@ -433,6 +452,25 @@ def _odd_cover_settles(g: WeightedGraph, alpha: Fraction) -> bool:
     return False
 
 
+def _pattern_classes(
+    m: int, sides: Optional[tuple[int, int]], k: int
+) -> Iterator[tuple[int, int]]:
+    """(orbit size, mask) of one side-pattern class of g^k per orbit (module docstring).
+
+    g has m vertices and ``sides`` is its bipartition (X, Y); without one,
+    the only class is the whole power, once.
+    """
+    if sides is None:
+        yield 1, (1 << m**k) - 1
+        return
+    x, y = sides
+    for j in range(k // 2 + 1):
+        pattern = [x] * j + [y] * (k - j)
+        flipped = [y] * j + [x] * (k - j)
+        size = math.comb(k, j) // (2 if 2 * j == k else 1)
+        yield size, _product_mask(m, pattern) | _product_mask(m, flipped)
+
+
 def alpha_sequence(
     g: WeightedGraph, n_max: int, *, _ceiling: Fraction = Fraction(1)
 ) -> AlphaSequence:
@@ -451,13 +489,23 @@ def alpha_sequence(
     repeats the last term up to the last power, as the sequence is
     nondecreasing; a decrease would mean a bug in the search and raises.
     ``n_max`` is read by ``graphs._positive_int``, so 2.5 raises ``TypeError``.
+
+    Each power is searched one side-pattern class per orbit of the
+    coordinate permutations, on a bipartite base, and whole otherwise
+    (module docstring); the classes index the rows of the whole power.
     """
     n_max = _positive_int(n_max, "n_max")
     last = _largest_power(g.n, n_max, MWIS_CAP)
+    # Power 1 is one class, the whole base, with or without sides.
+    sides = bipartition(g) if last > 1 else None
     terms: list[Fraction] = []
     # zip asks the range first, so no power past ``last`` is built.
     for k, (adj, weights) in zip(range(1, last + 1), _powers(g)):
-        value = Fraction(_max_weight(adj, weights, (1 << len(adj)) - 1), g.scale**k)
+        total = sum(
+            size * _max_weight(adj, weights, mask)
+            for size, mask in _pattern_classes(g.n, sides, k)
+        )
+        value = Fraction(total, g.scale**k)
         if terms and value < terms[-1]:
             raise AssertionError(
                 f"independence measure decreased from {terms[-1]} to {value} at power {k}"

@@ -38,7 +38,9 @@ kernels answer it from the base and a bitmask over g^n's vertices:
 position, and ``_power_weight`` its integer weight by folding one leading
 coordinate at a time. ``classifier.majority_witness`` re-checks its sets
 with them, so that K3^12 costs megabytes, where its rows would take
-about 35 GB.
+about 35 GB. ``_product_mask`` writes the mask of a product set
+S_1 x ... x S_n, one side-pattern class of a bipartite base's power for
+``mwis.alpha_sequence``.
 """
 
 from __future__ import annotations
@@ -266,6 +268,24 @@ def _power_reach(adj: Sequence[int], n: int, mask: int) -> int:
                 shift = (d - c) * place
                 moved |= part << shift if shift >= 0 else part >> -shift
         mask = moved
+    return mask
+
+
+def _product_mask(m: int, sides: Sequence[int]) -> int:
+    """Mask in g^k of the product set S_1 x ... x S_k, g having m vertices.
+
+    ``sides`` holds each S_i as a bitmask of g's vertices, the most
+    significant coordinate first. The mask is built from the last
+    coordinate up: the mask over coordinates i+1..k is copied into the
+    block of every c in S_i, so coordinate i costs |S_i| shifts.
+    """
+    mask, place = 1, 1
+    for side in reversed(sides):
+        out = 0
+        for c in iter_bits(side):
+            out |= mask << c * place
+        mask = out
+        place *= m
     return mask
 
 

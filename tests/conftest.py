@@ -58,6 +58,25 @@ def measured_graphs(draw, max_vertices: int = 5, allow_zero_measure: bool = True
     return WeightedGraph([Fraction(w, total) for w in weights], picked)
 
 
+@st.composite
+def bipartite_measured_graphs(draw, max_vertices: int = 5):
+    """Hypothesis strategy for bipartite graphs with rational measures.
+
+    Each vertex is put on a side, and edges join only the two sides, so
+    the graphs come connected and disconnected, with isolated vertices,
+    zero weights, and with no edge at all.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if side[u] != side[v]]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(
+        st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+    )
+    total = sum(weights)
+    return WeightedGraph([Fraction(w, total) for w in weights], picked)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA11CE)

@@ -10,13 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from tensorindep import (
     SizeCapExceeded,
     WeightedGraph,
     alpha_bar,
     alpha_sequence,
+    bipartition,
     classify,
     complete_graph,
     cycle_graph,
@@ -32,8 +33,9 @@ from tensorindep import mwis
 from tensorindep.cli import load_graph
 from tensorindep.graphs import _integer_measures
 from tensorindep.mwis import MWIS_CAP, default_power_cap
+from tensorindep.tensor import _powers
 
-from conftest import cyclic_garbage, measured_graphs
+from conftest import bipartite_measured_graphs, cyclic_garbage, measured_graphs
 from oracles import (
     all_uniform_graphs,
     brute_alpha,
@@ -41,6 +43,7 @@ from oracles import (
     brute_distance_classes,
     brute_two_colourable,
     random_measured_graph,
+    reference_power_rows,
     walk_cases,
 )
 
@@ -240,6 +243,81 @@ class TestAlphaSequence:
     def test_nondecreasing(self, g):
         seq = alpha_sequence(g, 3)
         assert list(seq.terms) == sorted(seq.terms)
+
+
+class TestPatternClasses:
+    """A bipartite base's powers are searched one side-pattern class per orbit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(bipartite_measured_graphs())
+    @example(WeightedGraph([Fraction(1, 4)] * 4, []))
+    @example(WeightedGraph([Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)], [(0, 1), (2, 3)]))
+    def test_classes_match_the_whole_power(self, g):
+        k_max = 4
+        sides = bipartition(g)
+        full_terms = []
+        for k, (adj, weights) in zip(range(1, k_max + 1), _powers(g)):
+            full = mwis._max_weight(adj, weights, (1 << len(adj)) - 1)
+            classes = list(mwis._pattern_classes(g.n, sides, k))
+            # Each class is closed under adjacency, and the orbits add up
+            # to the whole power.
+            for size, mask in classes:
+                reach = 0
+                for v in iter_bits(mask):
+                    reach |= adj[v]
+                assert not reach & ~mask
+            assert sum(size * mask.bit_count() for size, mask in classes) == len(adj)
+            searched = [size * mwis._max_weight(adj, weights, mask) for size, mask in classes]
+            assert sum(searched) == full
+            if len(adj) <= 16:
+                rows = reference_power_rows(list(g.adj), k)
+                assert brute_alpha_value_int(rows, list(weights)) == full
+            full_terms.append(Fraction(full, g.scale**k))
+        assert list(alpha_sequence(g, k_max).terms) == full_terms
+
+
+def _top_level_searches(monkeypatch, g: WeightedGraph, k: int) -> list[int]:
+    """Vertex counts of the masks ``alpha_sequence(g, k)`` hands the search at power k.
+
+    Only top-level calls of ``_max_weight`` count, not those the search
+    nests inside itself.
+    """
+    search = mwis._max_weight
+    calls = []
+    depth = 0
+
+    def counted(adj, weights, mask):
+        nonlocal depth
+        if not depth:
+            calls.append((len(adj), mask.bit_count()))
+        depth += 1
+        try:
+            return search(adj, weights, mask)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(mwis, "_max_weight", counted)
+    alpha_sequence(g, k)
+    return [count for size, count in calls if size == g.n**k]
+
+
+class TestSearchWork:
+    """The masks handed to the search, pinned: a count, not a time."""
+
+    def test_p3_seventh_power(self, monkeypatch, p3):
+        # Of 2,187 vertices, 255 in four classes.
+        assert _top_level_searches(monkeypatch, p3, 7) == [129, 66, 36, 24]
+
+    def test_biased_k2_twelfth_power(self, monkeypatch, k2_biased):
+        # Seven classes of one edge each, against all 4,096 vertices.
+        assert _top_level_searches(monkeypatch, k2_biased, 12) == [2] * 7
+
+    def test_odd_cycle_power_is_searched_whole(self, monkeypatch):
+        # C5 with one heavier vertex: alpha(C5) = 1/2, so no odd cover
+        # settles it and the measure is not uniform, and power 3 is searched.
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        g = WeightedGraph([Fraction(2, 6)] + [Fraction(1, 6)] * 4, edges)
+        assert _top_level_searches(monkeypatch, g, 3) == [125]
 
 
 def _searched_value(g: WeightedGraph) -> Fraction:
