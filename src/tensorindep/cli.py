@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 invalid input, 3 size cap hit: a requested power
 has more than ``MWIS_CAP`` vertices (``analyze`` still emits the partial
 report), 4 precondition unmet (descriptor requested for a graph with a
 violating set), 5 verification failed. Every refusal of input, by the
-parsers here or by the library, is a plain ``ValueError``.
+parsers here or by the library, is a plain ``ValueError``. A reader that
+closes stdout early does not change the exit code (``_emit``).
 
 Graphs are read from a JSON document
 
@@ -14,7 +15,8 @@ Graphs are read from a JSON document
 or from a hand-editable edge-list text format with one record per line
 (``v <id> <p/q>`` declares a vertex, ``e <id> <id>`` an edge, ``#``
 starts a comment). JSON is canonical; rationals always travel as "p/q"
-strings so no tool in a pipeline ever sees a float.
+strings so no tool in a pipeline ever sees a float. Graph and map files
+are read as UTF-8 with an optional byte-order mark.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import reprlib
 import sys
 from typing import Optional, Sequence
@@ -109,12 +112,13 @@ def _assemble(
 
 
 def load_graph(path: str) -> WeightedGraph:
+    """The graph in ``path``: JSON when its first non-blank character is ``{`` or ``[``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    if text.lstrip().startswith("{"):
+    if text.lstrip()[:1] in ("{", "["):
         return parse_graph_json(text)
     return parse_graph_edgelist(text)
 
@@ -231,6 +235,7 @@ def render_text(report: dict) -> str:
             + ", ".join(lb["terms"])
             + f" -> {lb['closed_form_limit']}"
         )
+    lines.extend(f"note: {note}" for note in verdict["certificate"]["notes"])
     lines.append("timing: null")
     return "\n".join(lines)
 
@@ -246,6 +251,21 @@ def _parse_seed_set(g: WeightedGraph, ids: str) -> int:
     return mask_from(chosen)
 
 
+def _emit(text: str) -> None:
+    """Print ``text`` to stdout, flushed; a reader that closed the pipe ends the output.
+
+    After a ``BrokenPipeError`` stdout points at ``os.devnull``, so later
+    writes and the interpreter's final flush stay quiet and the command
+    still returns its own exit code.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_analyze(args) -> int:
     g = load_graph(args.path)
     n_max = default_power_cap(g.n) if args.max_power is None else args.max_power
@@ -254,10 +274,7 @@ def cmd_analyze(args) -> int:
     if args.seed_independent_set:
         seed_set = _parse_seed_set(g, args.seed_independent_set)
     report, truncated = build_report(g, n_max, seed_set)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_text(report))
+    _emit(json.dumps(report, indent=2) if args.format == "json" else render_text(report))
     if truncated:
         print("size cap hit: alpha sequence truncated", file=sys.stderr)
     return EXIT_SIZE_CAP if truncated else EXIT_OK
@@ -268,8 +285,8 @@ def cmd_alpha(args) -> int:
     _refuse_oversized(g.n, _positive_int(args.power, "--power"), MWIS_CAP, "search")
     power = tensor_power(g, args.power)
     result = alpha_bar(power)
-    print(_frac_str(result.value))
-    print("witness: " + " ".join(power.labels[v] for v in iter_bits(result.witness)))
+    witness = " ".join(power.labels[v] for v in iter_bits(result.witness))
+    _emit(f"{_frac_str(result.value)}\nwitness: {witness}")
     return EXIT_OK
 
 
@@ -284,7 +301,7 @@ def cmd_descriptor(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc}") from exc
     else:
-        print(payload)
+        _emit(payload)
     return EXIT_OK
 
 
@@ -292,7 +309,7 @@ def cmd_verify_hom(args) -> int:
     h = load_graph(args.path_h)
     g = load_graph(args.path_g)
     try:
-        with open(args.path_map, "r", encoding="utf-8") as handle:
+        with open(args.path_map, "r", encoding="utf-8-sig") as handle:
             raw = json.load(handle)
     # ValueError: bad JSON or bad UTF-8; RecursionError: deep nesting
     except (OSError, ValueError, RecursionError) as exc:
@@ -314,9 +331,9 @@ def cmd_verify_hom(args) -> int:
     if extra:
         raise ValueError(f"map mentions unknown vertices {reprlib.repr(sorted(extra))}")
     if verify_finite_hom(mapping, h, g):
-        print("measure-preserving homomorphism: yes")
+        _emit("measure-preserving homomorphism: yes")
         return EXIT_OK
-    print("measure-preserving homomorphism: no")
+    _emit("measure-preserving homomorphism: no")
     return EXIT_VERIFICATION
 
 

@@ -23,8 +23,8 @@ rows: ``_reach`` is the union of the rows of a vertex set, and ``_walk``
 yields the breadth-first layers of a component as bitmasks, each with
 the union of its rows, so an edge inside a layer costs one AND to see.
 Neighborhoods, independence, bipartitions, and the search's components
-and odd cycles all read off them. The automorphism search behind the
-vertex-transitivity check is one loop over a stack.
+and odd cycles all read off them. The automorphism search inside
+``is_vertex_transitive_uniform`` is one loop over a stack per target.
 """
 
 from __future__ import annotations
@@ -342,41 +342,6 @@ def bipartition(g: WeightedGraph) -> Optional[tuple[int, int]]:
     return side_x, g.full_mask ^ side_x
 
 
-def _uniform(g: WeightedGraph) -> bool:
-    return len(set(g.weights)) == 1
-
-
-def _automorphism_onto(g: WeightedGraph, order: list[int], target: int) -> bool:
-    """Is there a graph automorphism sending ``order[0]`` to ``target``?
-
-    Depth first over (images, untried): the images of a prefix of
-    ``order``, and the mask of images not yet tried for the next vertex,
-    which takes one of them at a time. An image keeps the vertex's degree
-    and its adjacency to every vertex already mapped.
-    """
-    adj = g.adj
-    of_degree: dict[int, int] = {}
-    for w, row in enumerate(adj):
-        d = row.bit_count()
-        of_degree[d] = of_degree.get(d, 0) | 1 << w
-    stack = [((), of_degree[adj[order[0]].bit_count()] & 1 << target)]
-    while stack:
-        images, untried = stack.pop()
-        if not untried:
-            continue
-        low = untried & -untried
-        stack.append((images, untried ^ low))
-        images += (low.bit_length() - 1,)
-        if len(images) == len(order):
-            return True
-        v = order[len(images)]
-        cand = of_degree[adj[v].bit_count()]
-        for u, w in zip(order, images):
-            cand &= adj[w] if adj[v] >> u & 1 else ~(adj[w] | 1 << w)
-        stack.append((images, cand))
-    return False
-
-
 def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:
     """Decide vertex transitivity for a uniform-measure graph.
 
@@ -384,16 +349,45 @@ def is_vertex_transitive_uniform(g: WeightedGraph) -> Optional[bool]:
     vertex transitivity coincides with the automorphism group acting
     transitively on vertices, which is what this checks. Non-uniform
     measures admit no finite verification procedure, so the answer there
-    is None rather than a guess. The automorphism search assigns the
-    vertices layer by layer, so each new image is constrained by as many
-    earlier ones as possible.
+    is None rather than a guess.
+
+    For each target w, a depth-first search looks for an automorphism
+    sending the first vertex of ``order`` to w. It runs over (images,
+    untried): the images of a prefix of ``order``, and the mask of images
+    not yet tried for the next vertex, which takes one of them at a time.
+    An image keeps the vertex's degree and its adjacency to every vertex
+    already mapped. ``order`` lists the vertices layer by layer, so each
+    new image is constrained by as many earlier ones as possible.
     """
-    if not _uniform(g):
+    if len(set(g.weights)) != 1:
         return None
     if g.n > TRANSITIVITY_CAP:
         raise SizeCapExceeded.over("transitivity check", g.n, TRANSITIVITY_CAP)
+    adj = g.adj
     order = [v for _, layer, _ in _layers(g) for v in iter_bits(layer)]
-    return all(_automorphism_onto(g, order, w) for w in range(1, g.n))
+    of_degree: dict[int, int] = {}
+    for w, row in enumerate(adj):
+        d = row.bit_count()
+        of_degree[d] = of_degree.get(d, 0) | 1 << w
+    for target in range(1, g.n):
+        stack = [((), of_degree[adj[order[0]].bit_count()] & 1 << target)]
+        while stack:
+            images, untried = stack.pop()
+            if not untried:
+                continue
+            low = untried & -untried
+            stack.append((images, untried ^ low))
+            images += (low.bit_length() - 1,)
+            if len(images) == len(order):
+                break
+            v = order[len(images)]
+            cand = of_degree[adj[v].bit_count()]
+            for u, w in zip(order, images):
+                cand &= adj[w] if adj[v] >> u & 1 else ~(adj[w] | 1 << w)
+            stack.append((images, cand))
+        else:
+            return False
+    return True
 
 
 # Named families used throughout the tests and demos.

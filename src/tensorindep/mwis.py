@@ -20,22 +20,22 @@ therefore fewer than log2(MWIS_CAP) = 12 deep, whatever the input.
 
 On a triangle-free graph the clique cover is a cover by edges and cannot
 bound below about half the weight, while an odd cycle of length L holds
-at most (L-1)/2 of its L vertices. So each component with an odd cycle
-is split greedily into vertex-disjoint shortest odd cycles of length at
-least 5 and a rest (triangles go to the rest, where the clique cover
-already bounds them). An independent set meets each cycle in an
-independent set of that cycle and the rest in at most one vertex per
-clique, so the exact cycle DP of each part plus the clique cover of the
-rest bounds the component from above, for any measure. When that bound
-is at most the greedy incumbent, the incumbent is optimal and the
-component needs no search: on C5^3 and C5^4 the split finds the diagonal
-5-cycles, whose bound is the optimum 2/5. The bound is taken once, at
-the root: tried at every node it pruned few of them and slowed the
-search down, on weighted powers of C5 and on relabeled C5^3 as well.
+at most (L-1)/2 of its L vertices. So on a component with an odd cycle,
+``_odd_cycle_bound`` takes out greedy vertex-disjoint shortest odd cycles
+of length at least 5 and leaves a rest (triangles stay in the rest, where
+the clique cover already bounds them). An independent set meets each
+cycle in an independent set of that cycle and the rest in at most one
+vertex per clique, so the exact cycle DP of each cycle plus the clique
+cover of the rest bounds the component from above, for any measure.
+When that bound is at most the greedy incumbent, the incumbent is
+optimal and the component needs no search: on C5^3 and C5^4 the bound
+finds the diagonal 5-cycles and equals the optimum 2/5. It is taken
+once, at the root: tried at every node it pruned few of them and slowed
+the search down, on weighted powers of C5 and on relabeled C5^3 as well.
 Components come from the layered walk ``graphs._walk``, which yields
 each layer with the union of its rows, so an edge inside a layer, and
 with it an odd cycle, costs one AND per layer to see: bipartite
-components skip the split at no extra cost. The split walks the same
+components skip the bound at no extra cost. The bound walks the same
 way, inside the free vertices.
 
 The optimum value is independent of search order. The reported witness
@@ -270,20 +270,22 @@ def _paths_and_cycles_max(adj: tuple[int, ...], weights: Sequence[int], cand: in
     return total
 
 
-def _odd_cycle_parts(adj: tuple[int, ...], comp: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Vertex-disjoint odd cycles of length at least 5 inside ``comp``, as (mask, cycle).
+def _odd_cycle_bound(adj: tuple[int, ...], weights: Sequence[int], comp: int) -> int:
+    """Upper bound on the optimum of ``comp``: odd cycles exactly, the rest by cliques.
 
     Greedy: from the lowest free vertex, a breadth-first walk inside the
     free vertices (``graphs._walk``) stops at the first layer with an
     inner edge u-w, u the lowest vertex of the layer with a neighbour in
     it and w the lowest such neighbour; the walks back from u and w along
-    lowest-indexed parents meet, and close a shortest odd cycle. A
-    triangle is dropped, as the clique cover already bounds it; a walk
-    that finds no inner edge has traversed a bipartite piece, which is
-    dropped whole.
+    lowest-indexed parents meet, and close a shortest odd cycle. A cycle
+    of length at least 5 adds its ``_cycle_max`` and leaves the rest; a
+    triangle stays in the rest, where the clique cover already bounds it.
+    A walk that finds no inner edge has traversed a bipartite piece, which
+    stays in the rest whole. An independent set meets each cycle in an
+    independent set of that cycle, and the rest in one per clique.
     """
-    parts = []
-    free = comp
+    bound = 0
+    free = rest = comp
     while free:
         layers = []
         for layer, reach in _walk(adj, free, free & -free):
@@ -311,32 +313,15 @@ def _odd_cycle_parts(adj: tuple[int, ...], comp: int) -> list[tuple[int, tuple[i
         mask = sum(1 << v for v in cycle)
         free &= ~mask
         if len(cycle) >= 5:
-            parts.append((mask, cycle))
-    return parts
-
-
-def _partition_bound(
-    adj: tuple[int, ...],
-    weights: Sequence[int],
-    parts: list[tuple[int, tuple[int, ...]]],
-    comp: int,
-) -> int:
-    # An independent set of comp meets each cycle of ``parts`` in an
-    # independent set of that cycle, and the rest in one per clique.
-    rest = comp
-    bound = 0
-    for mask, cycle in parts:
-        rest &= ~mask
-        bound += _cycle_max(weights, cycle)
+            rest &= ~mask
+            bound += _cycle_max(weights, cycle)
     return bound + _cover_bound(adj, weights, rest)
 
 
 def _branch_and_bound(adj: tuple[int, ...], weights: Sequence[int], comp: int, odd: bool) -> int:
     best = _greedy(adj, weights, comp)
-    if odd:
-        parts = _odd_cycle_parts(adj, comp)
-        if parts and _partition_bound(adj, weights, parts, comp) <= best:
-            return best
+    if odd and _odd_cycle_bound(adj, weights, comp) <= best:
+        return best
 
     # Depth first over (candidates, weight taken so far). The exclude child
     # is pushed first, so the include subtree is searched first.

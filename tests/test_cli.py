@@ -192,6 +192,21 @@ class TestAnalyze:
         doc = {"vertices": [{"id": "u", "measure": "1/1"}], "edges": [["u", "x"]]}
         assert main(["analyze", fixture_file("edge.json", doc)]) == 2
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("k2.json", json.dumps(K2_JSON)), ("k2.txt", "v u 1/2\nv v 1/2\ne u v\n")],
+        ids=["json", "edge-list"],
+    )
+    def test_graph_with_a_byte_order_mark(self, tmp_path, capsys, name, text):
+        # Editors on Windows save UTF-8 with a leading BOM; it is not part of the text.
+        plain, bom = tmp_path / name, tmp_path / f"bom_{name}"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert main(["analyze", str(plain)]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        assert main(["analyze", str(bom)]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
+
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b'{"vertices": \xff}')
@@ -338,6 +353,31 @@ class TestDefaultAnalyze:
         captured = capsys.readouterr()
         assert "size cap hit: alpha sequence truncated" in captured.err.splitlines()
         assert "timing: null" in captured.out.splitlines()
+
+    def test_text_prints_each_certificate_note(self, fixture_file, capsys):
+        # C17 is over the transitivity cap and C5 at power 6 over the search
+        # cap; each note of the JSON report is one line of the text.
+        n = 17
+        doc = {
+            "vertices": [{"id": f"c{i}", "measure": f"1/{n}"} for i in range(n)],
+            "edges": [[f"c{i}", f"c{(i + 1) % n}"] for i in range(n)],
+        }
+        c17 = fixture_file("c17.json", doc)
+        c5 = str(DEMO_DATA / "c5_cycle.txt")
+        for argv, code, note in [
+            (["analyze", c17], 0, "transitivity check too large: 17 vertices exceeds cap 16"),
+            (
+                ["analyze", c5, "--max-power", "6"],
+                3,
+                "alpha sequence truncated after 5 of 6 powers",
+            ),
+        ]:
+            assert main(argv) == code
+            report = json.loads(capsys.readouterr().out)
+            assert report["verdict"]["certificate"]["notes"] == [note]
+            assert main(argv + ["--format", "text"]) == code
+            out = capsys.readouterr().out.splitlines()
+            assert out[-2:] == [f"note: {note}", "timing: null"]
 
     def test_truncation_in_json_says_so_on_stderr(self, capsys):
         # Both formats print the same line, and the JSON report on stdout
@@ -527,6 +567,13 @@ class TestVerifyHomCommand:
         partial = fixture_file("partial.json", {"u": "u"})
         assert main(["verify-hom", k2, k2, partial]) == 2
 
+    def test_map_with_a_byte_order_mark(self, fixture_file, tmp_path, capsys):
+        h, g, m = self._cover_files(fixture_file)
+        bom = tmp_path / "bom_map.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(m).read_bytes())
+        assert main(["verify-hom", h, g, str(bom)]) == 0
+        assert capsys.readouterr().out == "measure-preserving homomorphism: yes\n"
+
     def test_non_utf8_map_exits_2(self, fixture_file, tmp_path, capsys):
         k2 = fixture_file("k2.json", K2_JSON)
         bad = tmp_path / "map.json"
@@ -651,6 +698,14 @@ class TestInvalidInputExits2:
                 [_K2_TEXT, _K2_TEXT, '{"u": "u", "v": "v", "w": "u"}'],
                 [],
                 "map mentions unknown vertices ['w']",
+            ),
+            # A first non-blank "[" is JSON too, not an edge list.
+            ("analyze", ["[]"], [], "top-level JSON value must be an object"),
+            (
+                "analyze",
+                ['  \n[{"id": "u", "measure": "1"}]'],
+                [],
+                "top-level JSON value must be an object",
             ),
         ],
     )
@@ -785,6 +840,41 @@ def _report_digest() -> str:
         report, truncated = cli.build_report(g, 2, None)
         digest.update(f"{json.dumps(report, indent=2)}\n{truncated}\n".encode())
     return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["analyze", "k2_biased.json", "--max-power", "12"], 0, ""),
+        (
+            ["analyze", "k2_biased.json", "--max-power", "13"],
+            3,
+            "size cap hit: alpha sequence truncated\n",
+        ),
+        (["analyze", "k2_biased.json", "--max-power", "2", "--format", "text"], 0, ""),
+        (["descriptor", "c7_chord.json"], 0, ""),
+        (["alpha", "c5_cycle.txt", "--power", "2"], 0, ""),
+    ],
+    ids=["analyze", "analyze-truncated", "analyze-text", "descriptor", "alpha"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code, err):
+    # A reader that stops early, like `| head -1`, closes the pipe: the
+    # command ends with its own exit code and no traceback on stderr.
+    argv = [str(DEMO_DATA / a) if a.endswith((".json", ".txt")) else a for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorindep", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 def test_module_entrypoint_runs_in_subprocess(tmp_path):

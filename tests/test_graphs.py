@@ -41,6 +41,7 @@ from tensorindep.graphs import _reach, _walk
 
 from conftest import cyclic_garbage, measured_graphs
 from oracles import (
+    all_uniform_graphs,
     brute_distance_classes,
     brute_reach,
     brute_two_colourable,
@@ -325,6 +326,15 @@ class TestVertexTransitivity:
                     verdicts.append(is_vertex_transitive_uniform(g))
                     assert verdicts[-1] is brute_vertex_transitive(g), sorted(g.edges())
         assert True in verdicts and False in verdicts
+
+    def test_matches_brute_force_on_the_census(self):
+        # Every labeled uniform graph on at most 5 vertices.
+        verdicts = [0, 0]
+        for g in all_uniform_graphs(5):
+            verdict = is_vertex_transitive_uniform(g)
+            assert verdict is brute_vertex_transitive(g), (g.n, sorted(g.edges()))
+            verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]
 
     def test_cap_signal(self):
         g = cycle_graph(17)

@@ -31,7 +31,6 @@ from tensorindep import (
 )
 from tensorindep import mwis
 from tensorindep.cli import load_graph
-from tensorindep.graphs import _integer_measures
 from tensorindep.mwis import MWIS_CAP, default_power_cap
 from tensorindep.tensor import _powers
 
@@ -525,7 +524,7 @@ def test_component_of_matches_brute_force(rng):
 
 
 class TestOddCyclePartitionBound:
-    """The odd-cycle partition bound never falls below the optimum of the candidates."""
+    """The root bound, odd cycles exactly and the rest by cliques, never falls below the optimum."""
 
     @staticmethod
     def corpus(rng):
@@ -539,39 +538,78 @@ class TestOddCyclePartitionBound:
             yield random_measured_graph(rng, 16, min_vertices=8, density=0.2)
         yield from (tensor_power(cycle_graph(5), 2), cycle_graph(7), cycle_graph(9))
 
-    def test_parts_are_disjoint_odd_cycles_of_the_graph(self, rng):
+    @staticmethod
+    def scored_cycles(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+        """(cycle, ``_cycle_max``) for each cycle ``_odd_cycle_bound`` adds, in call order."""
+        scored = []
+        cycle_max = mwis._cycle_max
+
+        def recording(weights, cycle):
+            scored.append((tuple(cycle), cycle_max(weights, cycle)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(mwis, "_cycle_max", recording)
+        return scored
+
+    def test_parts_are_disjoint_odd_cycles_of_the_graph(self, rng, monkeypatch):
+        scored = self.scored_cycles(monkeypatch)
         for g in self.corpus(rng):
+            scored.clear()
+            mwis._odd_cycle_bound(g.adj, g.weights, g.full_mask)
             covered = 0
-            for mask, cycle in mwis._odd_cycle_parts(g.adj, g.full_mask):
+            for cycle, _ in scored:
+                mask = mask_from(cycle)
                 assert len(cycle) >= 5 and len(cycle) % 2 == 1
-                assert mask == mask_from(cycle) and mask.bit_count() == len(cycle)
+                assert mask.bit_count() == len(cycle)
                 assert not covered & mask
                 covered |= mask
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                     assert g.has_edge(a, b)
 
-    def test_bound_is_at_least_the_brute_force_optimum(self, rng):
-        # The search splits the set it is handed, so the split is taken on
+    def test_bound_is_at_least_the_brute_force_optimum(self, rng, monkeypatch):
+        # The search bounds the set it is handed, so the bound is taken on
         # each random candidate set, as it would be on a component.
+        scored = self.scored_cycles(monkeypatch)
         parts_seen = 0
         for g in self.corpus(rng):
-            weights, _ = _integer_measures(g.measures)
-            ranked = [w << g.n | 1 << (g.n - 1 - v) for v, w in enumerate(weights)]
             cands = [rng.getrandbits(g.n) for _ in range(20)]
             for cand in cands + [g.full_mask] * (g.n <= 12):
-                parts = mwis._odd_cycle_parts(g.adj, cand)
-                parts_seen += len(parts)
-                for w in (weights, ranked):
-                    bound = mwis._partition_bound(g.adj, w, parts, cand)
+                for w in (g.weights, _ranked(g.weights)):
+                    scored.clear()
+                    bound = mwis._odd_cycle_bound(g.adj, w, cand)
                     assert bound >= brute_alpha_value_int(*_induced(list(g.adj), w, cand))
-                    for mask, cycle in parts:
+                    parts_seen += len(scored)
+                    for cycle, value in scored:
+                        assert mask_from(cycle) & ~cand == 0
                         ring = [0] * g.n
                         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                             ring[a] |= 1 << b
                             ring[b] |= 1 << a
-                        exact = brute_alpha_value_int(*_induced(ring, w, mask))
-                        assert mwis._cycle_max(w, cycle) == exact
+                        exact = brute_alpha_value_int(*_induced(ring, w, mask_from(cycle)))
+                        assert value == exact
         assert parts_seen > 0
+
+    @pytest.mark.parametrize("k, units", [(2, 10), (3, 50)])
+    def test_bound_is_the_optimum_on_c5_powers(self, k, units):
+        # The diagonal 5-cycles bound C5^k at its optimum 2/5, under both
+        # weightings, so the root returns the greedy incumbent unsearched.
+        g = tensor_power(cycle_graph(5), k)
+        for shift, w in zip((0, g.n), (g.weights, _ranked(g.weights))):
+            bound = mwis._odd_cycle_bound(g.adj, w, g.full_mask)
+            assert bound == mwis._max_weight(g.adj, w, g.full_mask)
+            assert bound >> shift == units
+            assert bound <= mwis._greedy(g.adj, w, g.full_mask)
+
+    def test_triangles_stay_with_the_clique_cover(self, k3):
+        # Closing K3^2's triangles would bound it at its optimum 3; kept
+        # with the clique cover, they bound it at 4. Closing them is faster
+        # on K3 powers but raises the search's peak memory.
+        g = tensor_power(k3, 2)
+        for shift, w in zip((0, g.n), (g.weights, _ranked(g.weights))):
+            bound = mwis._odd_cycle_bound(g.adj, w, g.full_mask)
+            assert bound == mwis._cover_bound(g.adj, w, g.full_mask)
+            assert bound >> shift == 4
+            assert mwis._max_weight(g.adj, w, g.full_mask) >> shift == 3
 
 
 # Parts for disjoint unions, as (edges, weights): isolated vertices;
