@@ -92,3 +92,24 @@ for name, g, n in [("P3", path_graph(3), 7), ("biased K2", k2_biased, 12)]:
         classes = list(_pattern_classes(g.n, sides, k))
         searched = sum(mask.bit_count() for _, mask in classes)
         print(f"  k={k:<2}  {len(classes)} classes, {searched:>3} / {g.n**k}")
+
+print("\n" + "=" * 64)
+print("  6. false twins multiply along powers")
+print("=" * 64)
+
+print("\nFalse twins are non-adjacent vertices with one neighbourhood. Some optimal")
+print("set takes all of a twin class or none of it, so the search merges each")
+print("class into one vertex. A tuple's neighbourhood is the product of its")
+print("coordinates' neighbourhoods, so the classes of g^k are the products of")
+print("g's classes: P3's two classes give 2^k classes in P3^k.")
+p3 = path_graph(3)
+for k in range(1, 5):
+    power = tensor_power(p3, k)
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(power.adj):
+        classes.setdefault(row, []).append(v)
+    if k == 1:
+        for members in classes.values():
+            print("  P3 class {" + ", ".join(p3.labels[v] for v in members) + "}")
+    sizes = sorted((len(members) for members in classes.values()), reverse=True)
+    print(f"  k={k}  {len(classes):>2} classes over {power.n:>3} vertices, sizes {sizes}")

@@ -5,7 +5,7 @@ has more than ``MWIS_CAP`` vertices (``analyze`` still emits the partial
 report), 4 precondition unmet (descriptor requested for a graph with a
 violating set), 5 verification failed. Every refusal of input, by the
 parsers here or by the library, is a plain ``ValueError``. A reader that
-closes stdout early does not change the exit code (``_emit``).
+closes stdout or stderr early does not change the exit code (``_emit``).
 
 Graphs are read from a JSON document
 
@@ -251,18 +251,19 @@ def _parse_seed_set(g: WeightedGraph, ids: str) -> int:
     return mask_from(chosen)
 
 
-def _emit(text: str) -> None:
-    """Print ``text`` to stdout, flushed; a reader that closed the pipe ends the output.
+def _emit(text: str, err: bool = False) -> None:
+    """Print ``text`` to stdout, or stderr with ``err``, flushed; a closed pipe ends the output.
 
-    After a ``BrokenPipeError`` stdout points at ``os.devnull``, so later
-    writes and the interpreter's final flush stay quiet and the command
-    still returns its own exit code.
+    After a ``BrokenPipeError`` the stream points at ``os.devnull``, so
+    later writes and the interpreter's final flush stay quiet and the
+    command still returns its own exit code.
     """
+    stream = sys.stderr if err else sys.stdout
     try:
-        print(text, flush=True)
+        print(text, file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -276,7 +277,7 @@ def cmd_analyze(args) -> int:
     report, truncated = build_report(g, n_max, seed_set)
     _emit(json.dumps(report, indent=2) if args.format == "json" else render_text(report))
     if truncated:
-        print("size cap hit: alpha sequence truncated", file=sys.stderr)
+        _emit("size cap hit: alpha sequence truncated", err=True)
     return EXIT_SIZE_CAP if truncated else EXIT_OK
 
 
@@ -388,13 +389,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return handler(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _emit(f"error: {exc}", err=True)
         return EXIT_INVALID_INPUT
     except SizeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _emit(f"error: {exc}", err=True)
         return EXIT_SIZE_CAP
     except SaturationRequired as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _emit(f"error: {exc}", err=True)
         return EXIT_PRECONDITION
 
 

@@ -11,6 +11,29 @@ of branching. It runs on the graph's integer weights, its measures over
 one common denominator, so the whole search stays in arbitrary-precision
 integers and the optimum is exact.
 
+Two exact reductions come before any branching. False twins are
+non-adjacent vertices with one neighbourhood. The opening scan of
+``_max_weight`` groups the vertices by their neighbourhood inside the
+mask, and searches each class of two or more as its lowest vertex,
+carrying the class's total weight; the weights are copied once, and only
+when some class has a second member. A set holding one twin stays
+independent when the others join it, so for any nonnegative weights some
+optimum takes all of a class or none, and the value is unchanged. The
+merge is the quotient map G -> G/twins, a measure-preserving
+homomorphism with the same alpha. A tuple's neighbourhood in g^k is the
+product of its coordinates' neighbourhoods, so the twin classes of g^k
+are products of g's, and a base with twins has exponentially many in its
+powers: each component of P3^5 is a complete bipartite graph and
+collapses to one edge. In each node's scan, ``_branch_and_bound`` takes a
+heavy pendant, a vertex whose only candidate neighbour u weighs no more
+than it does, and drops u: swapping u for the pendant keeps any set
+independent and loses nothing. A scan that drops a vertex is repeated
+until it takes none (the simplest of the reductions of Lamm et al.,
+ALENEX 2019). Neither rule moves the canonical witness below: under
+tie-ranked weights every weight is at least 1 and no two are equal, so
+the unique optimum is a union of twin classes and holds every heavy
+pendant.
+
 The search is one loop over an explicit stack of (candidates, weight
 taken) pairs, the include child on top, so the interpreter's stack does
 not grow with the depth of the search. When a branch's candidates fall
@@ -173,13 +196,17 @@ def _max_weight(adj: tuple[int, ...], weights: Sequence[int], mask: int) -> int:
     v's only neighbour u in ``mask`` has no other neighbour there, {u, v}
     is a whole component, and the heavier end (under tie-ranked weights,
     the canonical one) is added once, at the lower endpoint. A pendant
-    vertex whose neighbour has other neighbours stays. The remaining
-    connected components are solved separately; tensor powers of sparse
-    graphs fall apart this way (K2^k into 2^(k-1) edges), which is where
-    most of the speed comes from.
+    vertex whose neighbour has other neighbours stays. The same scan
+    merges each class of false twins into its lowest vertex, on a copy
+    of ``weights`` (module docstring). The remaining connected components
+    are solved separately; tensor powers of sparse graphs fall apart this
+    way (K2^k into 2^(k-1) edges), which is where most of the speed comes
+    from.
     """
     total = 0
     rest = []
+    first: dict[int, int] = {}
+    merged = None
     for v in iter_bits(mask):
         nb = adj[v] & mask
         if not nb:
@@ -187,8 +214,14 @@ def _max_weight(adj: tuple[int, ...], weights: Sequence[int], mask: int) -> int:
         elif nb.bit_count() == 1 and (adj[u := nb.bit_length() - 1] & mask).bit_count() == 1:
             if v < u:
                 total += weights[v] if weights[v] > weights[u] else weights[u]
-        else:
+        elif (twin := first.setdefault(nb, v)) == v:
             rest.append(v)
+        else:
+            if merged is None:
+                merged = list(weights)
+            merged[twin] += weights[v]
+    if merged is not None:
+        weights = merged
     live = mask if len(rest) == mask.bit_count() else mask_from(rest)
     while live:
         comp, odd = _component_of(adj, live, live & -live)
@@ -328,19 +361,31 @@ def _branch_and_bound(adj: tuple[int, ...], weights: Sequence[int], comp: int, o
     stack = [(comp, 0)]
     while stack:
         cand, current = stack.pop()
-        # One scan: take the isolated vertices, find the max-degree pivot.
-        isolated = 0
+        # One scan: take the isolated vertices and the heavy pendants, find
+        # the max-degree pivot. A pendant's neighbour is dropped and not
+        # taken later in the scan (the other end of an isolated edge); a
+        # scan that drops a vertex has stale degrees, so the node is
+        # scanned again.
+        taken = dropped = 0
         pivot = -1
         pivot_degree = 0
         for v in iter_bits(cand):
-            d = (adj[v] & cand).bit_count()
-            if d == 0:
+            d = (nb := adj[v] & cand).bit_count()
+            if d > 1:
+                if d > pivot_degree:
+                    pivot_degree = d
+                    pivot = v
+            elif not d:
                 current += weights[v]
-                isolated |= 1 << v
-            elif d > pivot_degree:
-                pivot_degree = d
-                pivot = v
-        cand ^= isolated
+                taken |= 1 << v
+            elif weights[u := nb.bit_length() - 1] <= weights[v] and not dropped >> v & 1:
+                current += weights[v]
+                taken |= 1 << v
+                dropped |= 1 << u
+        cand &= ~(taken | dropped)
+        if dropped:
+            stack.append((cand, current))
+            continue
         if current > best:
             best = current
         if pivot < 0 or current + _cover_bound(adj, weights, cand) <= best:

@@ -77,6 +77,36 @@ def bipartite_measured_graphs(draw, max_vertices: int = 5):
     return WeightedGraph([Fraction(w, total) for w in weights], picked)
 
 
+@st.composite
+def twin_pendant_graphs(draw, max_base: int = 5, max_planted: int = 5):
+    """Hypothesis strategy for measured graphs with planted twins and pendants.
+
+    A random base gets up to ``max_planted`` new vertices, each one hung
+    on an earlier vertex as a pendant, or a copy of it with the same
+    neighbours: a false twin, or a true twin when also joined to it.
+    Measures are drawn from 0 to 9, zeros included.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_base))
+    pairs = list(combinations(range(n), 2))
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    planted = draw(st.integers(min_value=0, max_value=max_planted))
+    for new in range(n, n + planted):
+        old = draw(st.integers(min_value=0, max_value=new - 1))
+        kind = draw(st.sampled_from(("false twin", "true twin", "pendant")))
+        if kind != "false twin":
+            edges.add((old, new))
+        if kind != "pendant":
+            copied = [a + b - old for a, b in edges if old in (a, b) and new not in (a, b)]
+            edges.update((u, new) for u in copied)
+    weights = draw(
+        st.lists(st.integers(0, 9), min_size=n + planted, max_size=n + planted).filter(
+            lambda w: sum(w) > 0
+        )
+    )
+    total = sum(weights)
+    return WeightedGraph([Fraction(w, total) for w in weights], sorted(edges))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA11CE)

@@ -877,6 +877,32 @@ def test_closed_stdout_keeps_the_exit_code(argv, code, err):
     assert (proc.returncode, proc.stderr) == (code, err)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", str(DEMO_DATA / "k2_biased.json"), "--max-power", "13"], 3),
+        (["analyze", "nonexistent.json"], 2),
+    ],
+    ids=["size-cap-line", "error-line"],
+)
+def test_closed_stderr_keeps_the_exit_code(argv, code):
+    # The "size cap hit" and "error:" lines meet a closed stderr as the
+    # report meets a closed stdout: the command keeps its own exit code.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorindep", *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=write_end,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+
+
 def test_module_entrypoint_runs_in_subprocess(tmp_path):
     path = tmp_path / "k2.json"
     path.write_text(json.dumps(K2_JSON))

@@ -3,14 +3,17 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensorindep import (
     SizeCapExceeded,
@@ -34,7 +37,12 @@ from tensorindep.cli import load_graph
 from tensorindep.mwis import MWIS_CAP, default_power_cap
 from tensorindep.tensor import _powers
 
-from conftest import bipartite_measured_graphs, cyclic_garbage, measured_graphs
+from conftest import (
+    bipartite_measured_graphs,
+    cyclic_garbage,
+    measured_graphs,
+    twin_pendant_graphs,
+)
 from oracles import (
     all_uniform_graphs,
     brute_alpha,
@@ -300,6 +308,28 @@ def _top_level_searches(monkeypatch, g: WeightedGraph, k: int) -> list[int]:
     return [count for size, count in calls if size == g.n**k]
 
 
+def _branch_and_bound_work(monkeypatch, g: WeightedGraph) -> tuple[list[int], int]:
+    """Vertex counts of the components ``alpha_bar(g)`` hands ``_branch_and_bound``,
+    nested searches included, and how many clique-cover bounds it takes."""
+    search, cover = mwis._branch_and_bound, mwis._cover_bound
+    sizes = []
+    covers = 0
+
+    def counted_search(adj, weights, comp, odd):
+        sizes.append(comp.bit_count())
+        return search(adj, weights, comp, odd)
+
+    def counted_cover(adj, weights, cand):
+        nonlocal covers
+        covers += 1
+        return cover(adj, weights, cand)
+
+    monkeypatch.setattr(mwis, "_branch_and_bound", counted_search)
+    monkeypatch.setattr(mwis, "_cover_bound", counted_cover)
+    alpha_bar(g)
+    return sizes, covers
+
+
 class TestSearchWork:
     """The masks handed to the search, pinned: a count, not a time."""
 
@@ -317,6 +347,34 @@ class TestSearchWork:
         edges = [(i, (i + 1) % 5) for i in range(5)]
         g = WeightedGraph([Fraction(2, 6)] + [Fraction(1, 6)] * 4, edges)
         assert _top_level_searches(monkeypatch, g, 3) == [125]
+
+    def test_p3_fifth_power_collapses_to_edges(self, monkeypatch, p3):
+        # Each of the 16 components of P3^5 is a complete bipartite graph,
+        # whose two twin classes leave one edge: 32 of 243 vertices.
+        sizes, _ = _branch_and_bound_work(monkeypatch, tensor_power(p3, 5))
+        assert sizes == [2] * 16
+
+    def test_seeded_tree(self, monkeypatch):
+        # Leaves on one parent are twins; the 32 vertices left are taken
+        # by the pendant rule, with no clique-cover bound at any node.
+        rng = random.Random(7)
+        edges = [(rng.randrange(v), v) for v in range(1, 40)]
+        weights = [rng.randint(1, 6) for _ in range(40)]
+        g = WeightedGraph([Fraction(w, sum(weights)) for w in weights], edges)
+        assert _branch_and_bound_work(monkeypatch, g) == ([32], 0)
+
+    @pytest.mark.parametrize(
+        "g, work",
+        [
+            (tensor_power(complete_graph(3), 4), ([81], 466)),
+            (tensor_power(cycle_graph(5), 3), ([125], 1)),
+        ],
+        ids=["K3^4", "C5^3"],
+    )
+    def test_searches_without_twins_or_pendants_are_unchanged(self, monkeypatch, g, work):
+        # No reduction applies: the same single component and the same
+        # clique-cover bounds as a search without them.
+        assert _branch_and_bound_work(monkeypatch, g) == work
 
 
 def _searched_value(g: WeightedGraph) -> Fraction:
@@ -710,6 +768,64 @@ class TestEdgeComponents:
         seq = alpha_sequence(g, 12)
         assert not seq.truncated
         assert [f"{t.numerator}/{t.denominator}" for t in seq.terms] == golden
+
+
+def _twin_classes(rows: list[int]) -> set[frozenset[int]]:
+    """The vertices grouped by their rows, those with an empty row left out."""
+    classes: dict[int, set[int]] = {}
+    for v, row in enumerate(rows):
+        if row:
+            classes.setdefault(row, set()).add(v)
+    return {frozenset(members) for members in classes.values()}
+
+
+class TestReductions:
+    """False twins merge and heavy pendants are taken before branching."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(twin_pendant_graphs())
+    @example(WeightedGraph([Fraction(1, 3)] * 3, [(0, 1), (1, 2), (0, 2)]))
+    @example(WeightedGraph([Fraction(1, 7), Fraction(5, 7), Fraction(1, 7)], [(0, 1), (1, 2)]))
+    def test_alpha_bar_matches_brute_force(self, g):
+        result = alpha_bar(g)
+        assert (result.value, result.witness) == brute_alpha(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(twin_pendant_graphs(), st.integers(min_value=0))
+    def test_max_weight_matches_integer_brute_force(self, g, cand):
+        adj = list(g.adj)
+        cand &= g.full_mask
+        for weights in (list(g.weights), _ranked(list(g.weights))):
+            before = list(weights)
+            full = mwis._max_weight(g.adj, weights, g.full_mask)
+            assert full == brute_alpha_value_int(adj, weights)
+            assert mwis._max_weight(g.adj, weights, cand) == brute_alpha_value_int(
+                *_induced(adj, weights, cand)
+            )
+            # Merged weights go to a copy; the caller's list is unchanged.
+            assert weights == before
+
+    def test_twin_classes_of_powers_are_products(self, rng):
+        # A tuple's row is the product of its coordinates' rows, so two
+        # tuples with nonempty rows are twins exactly when each pair of
+        # coordinates is.
+        merged = 0
+        for _ in range(30):
+            g = random_measured_graph(rng, 4)
+            base = _twin_classes(list(g.adj))
+            merged += any(len(members) > 1 for members in base)
+            for k in range(1, 4):
+                products = set()
+                for factors in product(base, repeat=k):
+                    members = set()
+                    for coords in product(*factors):
+                        index = 0
+                        for c in coords:
+                            index = index * g.n + c
+                        members.add(index)
+                    products.add(frozenset(members))
+                assert _twin_classes(reference_power_rows(list(g.adj), k)) == products
+        assert merged
 
 
 class TestVertexTransitiveStability:
