@@ -27,7 +27,7 @@ import json
 import os
 import reprlib
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .classifier import VerdictKind, classify, lower_bound_sequence
 from .descriptor import build_descriptor, interval_hom_to_json, verify_finite_hom
@@ -251,14 +251,13 @@ def _parse_seed_set(g: WeightedGraph, ids: str) -> int:
     return mask_from(chosen)
 
 
-def _emit(text: str, err: bool = False) -> None:
-    """Print ``text`` to stdout, or stderr with ``err``, flushed; a closed pipe ends the output.
+def _emit(text: str, stream: TextIO) -> None:
+    """Print ``text`` to ``stream``, flushed; a reader that closed the pipe ends the output.
 
     After a ``BrokenPipeError`` the stream points at ``os.devnull``, so
     later writes and the interpreter's final flush stay quiet and the
     command still returns its own exit code.
     """
-    stream = sys.stderr if err else sys.stdout
     try:
         print(text, file=stream, flush=True)
     except BrokenPipeError:
@@ -275,9 +274,10 @@ def cmd_analyze(args) -> int:
     if args.seed_independent_set:
         seed_set = _parse_seed_set(g, args.seed_independent_set)
     report, truncated = build_report(g, n_max, seed_set)
-    _emit(json.dumps(report, indent=2) if args.format == "json" else render_text(report))
+    text = json.dumps(report, indent=2) if args.format == "json" else render_text(report)
+    _emit(text, sys.stdout)
     if truncated:
-        _emit("size cap hit: alpha sequence truncated", err=True)
+        _emit("size cap hit: alpha sequence truncated", sys.stderr)
     return EXIT_SIZE_CAP if truncated else EXIT_OK
 
 
@@ -287,7 +287,7 @@ def cmd_alpha(args) -> int:
     power = tensor_power(g, args.power)
     result = alpha_bar(power)
     witness = " ".join(power.labels[v] for v in iter_bits(result.witness))
-    _emit(f"{_frac_str(result.value)}\nwitness: {witness}")
+    _emit(f"{_frac_str(result.value)}\nwitness: {witness}", sys.stdout)
     return EXIT_OK
 
 
@@ -302,7 +302,7 @@ def cmd_descriptor(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc}") from exc
     else:
-        _emit(payload)
+        _emit(payload, sys.stdout)
     return EXIT_OK
 
 
@@ -332,9 +332,9 @@ def cmd_verify_hom(args) -> int:
     if extra:
         raise ValueError(f"map mentions unknown vertices {reprlib.repr(sorted(extra))}")
     if verify_finite_hom(mapping, h, g):
-        _emit("measure-preserving homomorphism: yes")
+        _emit("measure-preserving homomorphism: yes", sys.stdout)
         return EXIT_OK
-    _emit("measure-preserving homomorphism: no")
+    _emit("measure-preserving homomorphism: no", sys.stdout)
     return EXIT_VERIFICATION
 
 
@@ -389,13 +389,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return handler(args)
     except ValueError as exc:
-        _emit(f"error: {exc}", err=True)
+        _emit(f"error: {exc}", sys.stderr)
         return EXIT_INVALID_INPUT
     except SizeCapExceeded as exc:
-        _emit(f"error: {exc}", err=True)
+        _emit(f"error: {exc}", sys.stderr)
         return EXIT_SIZE_CAP
     except SaturationRequired as exc:
-        _emit(f"error: {exc}", err=True)
+        _emit(f"error: {exc}", sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -11,28 +11,22 @@ of branching. It runs on the graph's integer weights, its measures over
 one common denominator, so the whole search stays in arbitrary-precision
 integers and the optimum is exact.
 
-Two exact reductions come before any branching. False twins are
-non-adjacent vertices with one neighbourhood. The opening scan of
-``_max_weight`` groups the vertices by their neighbourhood inside the
-mask, and searches each class of two or more as its lowest vertex,
-carrying the class's total weight; the weights are copied once, and only
-when some class has a second member. A set holding one twin stays
-independent when the others join it, so for any nonnegative weights some
-optimum takes all of a class or none, and the value is unchanged. The
-merge is the quotient map G -> G/twins, a measure-preserving
-homomorphism with the same alpha. A tuple's neighbourhood in g^k is the
-product of its coordinates' neighbourhoods, so the twin classes of g^k
-are products of g's, and a base with twins has exponentially many in its
-powers: each component of P3^5 is a complete bipartite graph and
-collapses to one edge. In each node's scan, ``_branch_and_bound`` takes a
-heavy pendant, a vertex whose only candidate neighbour u weighs no more
-than it does, and drops u: swapping u for the pendant keeps any set
-independent and loses nothing. A scan that drops a vertex is repeated
-until it takes none (the simplest of the reductions of Lamm et al.,
-ALENEX 2019). Neither rule moves the canonical witness below: under
-tie-ranked weights every weight is at least 1 and no two are equal, so
-the unique optimum is a union of twin classes and holds every heavy
-pendant.
+False twins, non-adjacent vertices with one neighbourhood, are merged
+before any branching. The opening scan of ``_max_weight`` groups the
+vertices by their neighbourhood inside the mask, and searches each class
+of two or more as its lowest vertex, carrying the class's total weight;
+the weights are copied once, and only when some class has a second
+member. A set holding one twin stays independent when the others join
+it, so for any nonnegative weights some optimum takes all of a class or
+none, and the value is unchanged. The merge is the quotient map
+G -> G/twins, a measure-preserving homomorphism with the same alpha. A
+tuple's neighbourhood in g^k is the product of its coordinates'
+neighbourhoods, so the twin classes of g^k are products of g's, and a
+base with twins has exponentially many in its powers: each component of
+P3^5 is a complete bipartite graph and collapses to one edge. The merge
+does not move the canonical witness below: under tie-ranked weights
+every weight is at least 1, so the unique optimum is a union of twin
+classes.
 
 The search is one loop over an explicit stack of (candidates, weight
 taken) pairs, the include child on top, so the interpreter's stack does
@@ -361,31 +355,19 @@ def _branch_and_bound(adj: tuple[int, ...], weights: Sequence[int], comp: int, o
     stack = [(comp, 0)]
     while stack:
         cand, current = stack.pop()
-        # One scan: take the isolated vertices and the heavy pendants, find
-        # the max-degree pivot. A pendant's neighbour is dropped and not
-        # taken later in the scan (the other end of an isolated edge); a
-        # scan that drops a vertex has stale degrees, so the node is
-        # scanned again.
-        taken = dropped = 0
+        # One scan: take the isolated vertices, find the max-degree pivot.
+        isolated = 0
         pivot = -1
         pivot_degree = 0
         for v in iter_bits(cand):
-            d = (nb := adj[v] & cand).bit_count()
-            if d > 1:
-                if d > pivot_degree:
-                    pivot_degree = d
-                    pivot = v
-            elif not d:
+            d = (adj[v] & cand).bit_count()
+            if d == 0:
                 current += weights[v]
-                taken |= 1 << v
-            elif weights[u := nb.bit_length() - 1] <= weights[v] and not dropped >> v & 1:
-                current += weights[v]
-                taken |= 1 << v
-                dropped |= 1 << u
-        cand &= ~(taken | dropped)
-        if dropped:
-            stack.append((cand, current))
-            continue
+                isolated |= 1 << v
+            elif d > pivot_degree:
+                pivot_degree = d
+                pivot = v
+        cand ^= isolated
         if current > best:
             best = current
         if pivot < 0 or current + _cover_bound(adj, weights, cand) <= best:

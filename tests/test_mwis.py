@@ -355,13 +355,14 @@ class TestSearchWork:
         assert sizes == [2] * 16
 
     def test_seeded_tree(self, monkeypatch):
-        # Leaves on one parent are twins; the 32 vertices left are taken
-        # by the pendant rule, with no clique-cover bound at any node.
+        # Leaves on one parent are twins: the search starts on 32 of the
+        # 40 vertices and takes 11 clique-cover bounds (without the merge,
+        # all 40 and 23).
         rng = random.Random(7)
         edges = [(rng.randrange(v), v) for v in range(1, 40)]
         weights = [rng.randint(1, 6) for _ in range(40)]
         g = WeightedGraph([Fraction(w, sum(weights)) for w in weights], edges)
-        assert _branch_and_bound_work(monkeypatch, g) == ([32], 0)
+        assert _branch_and_bound_work(monkeypatch, g) == ([32, 9, 6, 4], 11)
 
     @pytest.mark.parametrize(
         "g, work",
@@ -371,9 +372,9 @@ class TestSearchWork:
         ],
         ids=["K3^4", "C5^3"],
     )
-    def test_searches_without_twins_or_pendants_are_unchanged(self, monkeypatch, g, work):
-        # No reduction applies: the same single component and the same
-        # clique-cover bounds as a search without them.
+    def test_searches_without_twins_are_unchanged(self, monkeypatch, g, work):
+        # No twins: the same single component and the same clique-cover
+        # bounds as a search without the merge.
         assert _branch_and_bound_work(monkeypatch, g) == work
 
 
@@ -779,8 +780,8 @@ def _twin_classes(rows: list[int]) -> set[frozenset[int]]:
     return {frozenset(members) for members in classes.values()}
 
 
-class TestReductions:
-    """False twins merge and heavy pendants are taken before branching."""
+class TestTwinMerge:
+    """Each class of false twins is searched as one vertex."""
 
     @settings(max_examples=200, deadline=None)
     @given(twin_pendant_graphs())
@@ -805,10 +806,19 @@ class TestReductions:
             # Merged weights go to a copy; the caller's list is unchanged.
             assert weights == before
 
-    def test_twin_classes_of_powers_are_products(self, rng):
+    def test_search_sees_one_vertex_per_product_class(self, monkeypatch, rng):
         # A tuple's row is the product of its coordinates' rows, so two
         # tuples with nonempty rows are twins exactly when each pair of
-        # coordinates is.
+        # coordinates is. The search is handed the lowest tuple of each
+        # product of g's classes, but for the ends of isolated edges.
+        component_of = mwis._component_of
+        handed = []
+
+        def recorded(adj, live, start):
+            handed.append(live)
+            return component_of(adj, live, start)
+
+        monkeypatch.setattr(mwis, "_component_of", recorded)
         merged = 0
         for _ in range(30):
             g = random_measured_graph(rng, 4)
@@ -824,7 +834,18 @@ class TestReductions:
                             index = index * g.n + c
                         members.add(index)
                     products.add(frozenset(members))
-                assert _twin_classes(reference_power_rows(list(g.adj), k)) == products
+                rows = reference_power_rows(list(g.adj), k)
+                assert _twin_classes(rows) == products
+                edge_ends = {
+                    v
+                    for v, row in enumerate(rows)
+                    if row.bit_count() == 1 and rows[row.bit_length() - 1].bit_count() == 1
+                }
+                power = tensor_power(g, k)
+                handed.clear()
+                mwis._max_weight(power.adj, power.weights, power.full_mask)
+                expected = mask_from(min(c) for c in products if min(c) not in edge_ends)
+                assert (handed[0] if handed else 0) == expected
         assert merged
 
 
